@@ -83,8 +83,7 @@ def boot_faultexp_system(agreement: str = "oracle",
 
 
 def _forked_trial(system: HiveSystem, scenario: str, seed: int,
-                  fault_seed: Optional[int], agreement: str,
-                  victim_cell: int, wild_writes: int,
+                  agreement: str, victim_cell: int, wild_writes: int,
                   on_boot) -> FaultTrialResult:
     """Child-side trial body for image-forked runs (module-level so it
     pickles by reference across the image's request pipe).
@@ -98,7 +97,7 @@ def _forked_trial(system: HiveSystem, scenario: str, seed: int,
     runner = FaultExperimentRunner(
         agreement=agreement, victim_cell=victim_cell,
         wild_writes=wild_writes)
-    return runner.run_trial_on(system, scenario, seed, fault_seed)
+    return runner.run_trial_on(system, scenario, seed)
 
 
 @dataclass
@@ -118,15 +117,35 @@ class FaultTrialResult:
     #: the paper measured 40-80 ms
     recovery_duration_ns: Optional[int] = None
     notes: str = ""
-    #: the seed that drove fault arming when it differs from ``seed``
-    #: (replay campaigns fix the workload seed and sweep only this).
-    fault_seed: Optional[int] = None
 
     @property
     def latency_ms(self) -> Optional[float]:
         if self.last_entry_latency_ns is None:
             return None
         return self.last_entry_latency_ns / 1e6
+
+    @property
+    def failure_reason(self) -> Optional[str]:
+        """Why the trial was not contained; None when it was.
+
+        Derived from the verdict fields, first cause first: a harness
+        exception (with its notes), then an undetected fault, a dead
+        survivor, a failed post-fault check, and corrupt outputs.
+        Never empty for an uncontained trial.
+        """
+        if self.contained:
+            return None
+        if self.notes:
+            return f"harness exception: {self.notes}"
+        if not self.detected:
+            return "undetected"
+        if not self.survivors_alive:
+            return "survivor died"
+        if not self.check_ok:
+            return "check failed"
+        if not self.outputs_ok:
+            return "outputs corrupt"
+        return "not contained"
 
     def to_dict(self) -> dict:
         """JSON-safe form for cross-process campaign shards."""
@@ -202,23 +221,17 @@ class FaultExperimentRunner:
 
     # -- one trial ------------------------------------------------------------
 
-    def run_trial(self, scenario: str, seed: int = 0,
-                  fault_seed: Optional[int] = None) -> FaultTrialResult:
+    def run_trial(self, scenario: str, seed: int = 0) -> FaultTrialResult:
         """One Table 7.4 trial.
 
         ``seed`` drives everything deterministic about the run — boot,
-        workload traffic, and (by default) the fault schedule.
-        ``fault_seed`` decouples the fault schedule from the traffic:
-        a replay campaign records trial 0 once and sweeps only the
-        fault arming across trials, so two trials with equal ``seed``
-        and different ``fault_seed`` execute identical op streams up
-        to the injection point.
+        workload traffic, and the fault schedule.
         """
         if scenario not in ALL_SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
         if self.image is not None:
             result = self.image.run(
-                _forked_trial, scenario, seed, fault_seed, self.agreement,
+                _forked_trial, scenario, seed, self.agreement,
                 self.victim_cell, self.wild_writes, self.on_boot, seed=seed)
             self.last_setup_wall_s = self.image.fork_wall_s_last
             return result
@@ -227,12 +240,11 @@ class FaultExperimentRunner:
         self.last_setup_wall_s = time.perf_counter() - t0
         if self.on_boot is not None:
             self.on_boot(system)
-        return self.run_trial_on(system, scenario, seed, fault_seed)
+        return self.run_trial_on(system, scenario, seed)
 
-    def run_trial_on(self, system: HiveSystem, scenario: str, seed: int = 0,
-                     fault_seed: Optional[int] = None) -> FaultTrialResult:
+    def run_trial_on(self, system: HiveSystem, scenario: str,
+                     seed: int = 0) -> FaultTrialResult:
         """Run one trial against an already-booted (or forked) system."""
-        fseed = seed if fault_seed is None else fault_seed
         sim = system.sim
         platform = Platform(system)
         workload_name = PAPER_TABLE_7_4[scenario][0]
@@ -248,36 +260,36 @@ class FaultExperimentRunner:
 
         system.injector.observers.append(note_injection)
 
-        kfi = KernelFaultInjector(system, seed=fseed + 101)
+        kfi = KernelFaultInjector(system, seed=seed + 101)
 
         # Arm / schedule the fault.
         if scenario == HW_DURING_PROCESS_CREATION:
             # Skip a few occurrences so the fault lands mid-run, not on
             # the very first fork.
-            for _ in range(2 + fseed % 4):
+            for _ in range(2 + seed % 4):
                 system.injector.arm_phase("process_creation",
                                           "noop", self.victim_cell)
             system.injector.arm_phase("process_creation",
                                       FaultInjector.NODE_FAILURE,
                                       self.victim_cell)
         elif scenario == HW_DURING_COW_SEARCH:
-            for _ in range(20 + (fseed * 13) % 40):
+            for _ in range(20 + (seed * 13) % 40):
                 system.injector.arm_phase("cow_search", "noop",
                                           self.victim_cell)
             system.injector.arm_phase("cow_search",
                                       FaultInjector.NODE_FAILURE,
                                       self.victim_cell)
         elif scenario == HW_RANDOM_TIME:
-            t = 500 * NS_PER_MS + (fseed * 367_934_871) % (3_000 * NS_PER_MS)
+            t = 500 * NS_PER_MS + (seed * 367_934_871) % (3_000 * NS_PER_MS)
             system.injector.inject_at(t, FaultInjector.NODE_FAILURE,
                                       self.victim_cell, trigger="random")
         elif scenario in (SW_ADDRESS_MAP, SW_COW_TREE):
             # Corrupt once the victim has processes / COW structure;
             # schedule at a pseudo-random point mid-run.
-            t = 1_000 * NS_PER_MS + (fseed * 217_645_199) % (2_000 * NS_PER_MS)
+            t = 1_000 * NS_PER_MS + (seed * 217_645_199) % (2_000 * NS_PER_MS)
 
             def corrupt() -> None:
-                mode = ALL_MODES[fseed % len(ALL_MODES)]
+                mode = ALL_MODES[seed % len(ALL_MODES)]
                 if scenario == SW_ADDRESS_MAP:
                     rec = kfi.corrupt_address_map(
                         self.victim_cell, mode,
@@ -355,7 +367,6 @@ class FaultExperimentRunner:
             check_ok=check_ok,
             recovery_duration_ns=recovery_duration,
             notes=notes.strip(),
-            fault_seed=fault_seed,
         )
 
     def _outputs_ok(self, platform: Platform, workload) -> bool:

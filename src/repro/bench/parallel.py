@@ -291,9 +291,8 @@ def _faultexp_image(agreement: str) -> SystemImage:
     return image
 
 
-def _trial_payload(system, scenario: str, seed: int,
-                   fault_seed: Optional[int], agreement: str,
-                   telemetry_dir: Optional[str], capture: bool) -> dict:
+def _trial_payload(system, scenario: str, seed: int, agreement: str,
+                   telemetry_dir: Optional[str]) -> dict:
     """Attach observers, run one trial on a booted system, collect.
 
     Module-level so it can cross a :class:`SystemImage` request pipe:
@@ -315,11 +314,10 @@ def _trial_payload(system, scenario: str, seed: int,
 
     wall0 = time.perf_counter()
     runner = FaultExperimentRunner(agreement=agreement)
-    trial = runner.run_trial_on(system, scenario, seed,
-                                fault_seed=fault_seed)
+    trial = runner.run_trial_on(system, scenario, seed)
     wall_s = time.perf_counter() - wall0
     out: dict = {"status": "ok", "scenario": scenario, "seed": seed,
-                 "fault_seed": fault_seed, "trial": trial.to_dict()}
+                 "trial": trial.to_dict()}
     out["availability"] = availability_report(recorder, system)
     out["tiers"] = tier_snapshot(system)
     out["audit"] = tracer.audit_report()
@@ -328,44 +326,34 @@ def _trial_payload(system, scenario: str, seed: int,
     out["heartbeat"] = {"sim_ms": system.sim.now / 1e6,
                         "events": system.sim.events_processed,
                         "wall_s": round(wall_s, 4)}
-    if capture:
-        from repro.sim.oplog import oplog_from_recorder
-        out["oplog"] = oplog_from_recorder(recorder.events).to_jsonable()
     if telemetry_dir:
         from repro.obs import write_telemetry
-        shard_dir = os.path.join(
-            telemetry_dir,
-            f"{scenario}-{seed}" if fault_seed is None
-            else f"{scenario}-{seed}-f{fault_seed}")
+        shard_dir = os.path.join(telemetry_dir, f"{scenario}-{seed}")
         write_telemetry(shard_dir, recorder, system)
         out["telemetry_dir"] = shard_dir
     return out
 
 
 def _inject_shard_worker(
-        shard: Tuple[str, int, Optional[int], str, Optional[str],
-                     bool, bool]) -> dict:
-    """One (scenario, seed, fault_seed) trial; runs in a pool worker.
+        shard: Tuple[str, int, str, Optional[str], bool]) -> dict:
+    """One (scenario, seed) trial; runs in a pool worker.
 
     Every trial records a flight recorder (the spans are deterministic
     and the recording cost is noise next to the trial itself) and ships
     its availability ledger and tier counters back as JSON-safe dicts,
     so the merged campaign report carries recovery-latency percentiles
     and per-cell availability even when no telemetry dir was requested.
-    ``capture`` additionally ships the trial's columnar event stream
-    (replay campaigns diff every trial against trial 0 at merge time).
     ``snapshot`` forks the trial's system from the worker's image
     instead of booting (falling back to a boot per trial when
     ``HIVE_SNAPSHOT=0``); the golden contract keeps either path
     byte-identical, and ``out["setup"]`` records which was paid.
     """
-    (scenario, seed, fault_seed, agreement, telemetry_dir, capture,
-     snapshot) = shard
+    scenario, seed, agreement, telemetry_dir, snapshot = shard
     try:
         if snapshot and snapshot_enabled():
             image = _faultexp_image(agreement)
-            out = image.run(_trial_payload, scenario, seed, fault_seed,
-                            agreement, telemetry_dir, capture, seed=seed)
+            out = image.run(_trial_payload, scenario, seed, agreement,
+                            telemetry_dir, seed=seed)
             out["setup"] = {"mode": "fork",
                             "setup_wall_s": image.fork_wall_s_last,
                             "boot_wall_s": image.boot_wall_s}
@@ -373,15 +361,14 @@ def _inject_shard_worker(
             wall0 = time.perf_counter()
             system = boot_faultexp_system(agreement, seed)
             boot_wall = time.perf_counter() - wall0
-            out = _trial_payload(system, scenario, seed, fault_seed,
-                                 agreement, telemetry_dir, capture)
+            out = _trial_payload(system, scenario, seed, agreement,
+                                 telemetry_dir)
             out["setup"] = {"mode": "boot",
                             "setup_wall_s": boot_wall,
                             "boot_wall_s": boot_wall}
         return out
     except Exception:
         return {"status": "error", "scenario": scenario, "seed": seed,
-                "fault_seed": fault_seed,
                 "error": traceback.format_exc()}
 
 
@@ -399,29 +386,22 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
     audit_labels: List[str] = []
     audit_reports: List[dict] = []
     watchdogs: Dict[str, dict] = {}
-    oplogs: Dict[str, list] = {}
     for shard in shards:
-        key = (shard["scenario"], shard["seed"], shard.get("fault_seed"))
+        key = (shard["scenario"], shard["seed"])
         if key in seen:
             raise CampaignError(
                 f"overlapping shards for trial {key!r}: each "
-                f"(scenario, seed, fault_seed) must be produced "
-                f"exactly once")
+                f"(scenario, seed) must be produced exactly once")
         seen.add(key)
         if shard["status"] != "ok":
-            failure = {"scenario": shard["scenario"],
-                       "seed": shard["seed"],
-                       "error": shard.get("error", "unknown")}
-            if shard.get("fault_seed") is not None:
-                failure["fault_seed"] = shard["fault_seed"]
-            failures.append(failure)
+            failures.append({"scenario": shard["scenario"],
+                             "seed": shard["seed"],
+                             "error": shard.get("error", "unknown")})
             continue
         summary = summaries.setdefault(
             shard["scenario"], ScenarioSummary(scenario=shard["scenario"]))
         summary.trials.append(FaultTrialResult.from_dict(shard["trial"]))
-        fseed = shard.get("fault_seed")
-        label = (f"{shard['scenario']}-{shard['seed']}" if fseed is None
-                 else f"{shard['scenario']}-{shard['seed']}-f{fseed}")
+        label = f"{shard['scenario']}-{shard['seed']}"
         if shard.get("availability"):
             avail_labels.append(label)
             avail_reports.append(shard["availability"])
@@ -434,13 +414,8 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
             watchdogs[label] = shard["watchdog"]
         if shard.get("telemetry_dir"):
             telemetry_dirs.append(shard["telemetry_dir"])
-        if shard.get("oplog") is not None:
-            oplogs.setdefault(shard["scenario"], []).append(
-                (shard.get("fault_seed"), shard["oplog"]))
     for summary in summaries.values():
-        summary.trials.sort(
-            key=lambda t: (t.seed,
-                           t.seed if t.fault_seed is None else t.fault_seed))
+        summary.trials.sort(key=lambda t: t.seed)
     scenarios = {}
     for scenario, summary in summaries.items():
         workload, _n, avg, mx = PAPER_TABLE_7_4[scenario]
@@ -474,40 +449,9 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
         payload["watchdog"] = watchdogs
     if telemetry_dirs:
         payload["telemetry_dirs"] = sorted(telemetry_dirs)
-    if oplogs:
-        payload["replay"] = _merge_replay_streams(oplogs)
     if failures:
         payload["failures"] = failures
     return payload
-
-
-def _merge_replay_streams(oplogs: Dict[str, list]) -> dict:
-    """Diff each scenario's trial streams against its trial 0.
-
-    ``oplogs`` maps scenario -> [(fault_seed, jsonable OpLog), ...].
-    Trial 0 is the stream with the smallest fault seed (the campaign
-    records it first); every other trial executes the same traffic, so
-    its divergence point localizes exactly where the moved fault
-    schedule pushed the run off the recorded timeline.
-    """
-    from repro.sim.oplog import OpLog, divergence_point
-
-    out: Dict[str, dict] = {}
-    for scenario, entries in sorted(oplogs.items()):
-        entries = sorted(entries, key=lambda e: (e[0] is not None, e[0]))
-        base_seed, base_json = entries[0]
-        base = OpLog.from_jsonable(base_json)
-        trials = []
-        for fault_seed, log_json in entries[1:]:
-            div = divergence_point(base, OpLog.from_jsonable(log_json))
-            div["fault_seed"] = fault_seed
-            trials.append(div)
-        out[scenario] = {
-            "base_fault_seed": base_seed,
-            "trace_rows": len(base),
-            "trials": trials,
-        }
-    return out
 
 
 def run_inject_campaign(scenarios: List[str], trials: int,
@@ -515,21 +459,12 @@ def run_inject_campaign(scenarios: List[str], trials: int,
                         agreement: str = "oracle",
                         telemetry_dir: Optional[str] = None,
                         progress: bool = False,
-                        replay: bool = False,
                         snapshot: bool = False) -> dict:
     """Shard Table 7.4 trials across a process pool and merge.
 
     Each trial is one shard — the slowest scenario (sw_cow_tree) runs
     minutes-long trials, so trial granularity keeps the pool busy.
     ``progress`` prints one heartbeat line per completed trial.
-
-    ``replay`` switches the sweep to record-once form: every trial of
-    a scenario runs the *same* workload seed and only the fault seed
-    moves, each shard ships its columnar event stream, and the merged
-    payload's ``"replay"`` section diffs trials 1..N against trial 0
-    (identical-prefix length, divergence time).  Composes with any
-    worker count — the streams are diffed at merge time, so no shard
-    depends on another's output.
 
     ``snapshot`` forks each trial's system from a per-worker
     :class:`SystemImage` instead of booting it fresh — the campaign
@@ -538,14 +473,8 @@ def run_inject_campaign(scenarios: List[str], trials: int,
     replaced (``amortization_x``).  Counters stay byte-identical
     either way (the snapshot golden contract).
     """
-    if replay:
-        shards = [(scenario, seed_base, seed_base + i, agreement,
-                   telemetry_dir, True, snapshot)
-                  for scenario in scenarios for i in range(trials)]
-    else:
-        shards = [(scenario, seed_base + i, None, agreement,
-                   telemetry_dir, False, snapshot)
-                  for scenario in scenarios for i in range(trials)]
+    shards = [(scenario, seed_base + i, agreement, telemetry_dir, snapshot)
+              for scenario in scenarios for i in range(trials)]
     # The historically slowest scenarios first (paper latency order).
     slow = {s: PAPER_TABLE_7_4[s][2] for s in PAPER_TABLE_7_4}
     shards.sort(key=lambda s: slow.get(s[0], 0), reverse=True)
@@ -572,8 +501,7 @@ def run_inject_campaign(scenarios: List[str], trials: int,
     campaign_wall = time.perf_counter() - wall0
     # Pool completion order is scheduling-dependent; sort by shard key
     # so the merged payload is byte-stable for a given seed base.
-    raw.sort(key=lambda s: (s["scenario"], s["seed"],
-                            s.get("fault_seed") or -1))
+    raw.sort(key=lambda s: (s["scenario"], s["seed"]))
     payload = merge_inject_shards(raw)
     setups = [s["setup"] for s in raw
               if s.get("status") == "ok" and s.get("setup")]

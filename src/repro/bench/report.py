@@ -289,32 +289,6 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
     else:
         lines.append("- engine dispatches: not profiled "
                      "(set HIVE_PROFILE=1 to attribute engine time)")
-    rep = tiers.get("replay")
-    if rep:
-        lines.append(
-            f"- trace replay: {rep['replayed_from_trace']} wakeups from "
-            f"trace ({_pct(rep['trace_hit_rate'])} hit rate), "
-            f"{rep['fallback_wakeups']} live fallbacks, "
-            f"{rep['desyncs']} desyncs / {rep['resyncs']} resyncs "
-            f"over {rep['chains']} chains")
-    return lines
-
-
-def _replay_lines(replay: Dict[str, Any]) -> List[str]:
-    """The recorded-vs-replayed divergence table for replay campaigns."""
-    lines = ["## Trace replay (fault-seed sweep)", ""]
-    lines.append("| scenario | base fault seed | trace rows | trial | "
-                 "identical prefix | divergence (ms) |")
-    lines.append("|---|---:|---:|---:|---:|---:|")
-    for scenario in sorted(replay):
-        row = replay[scenario]
-        for trial in row.get("trials", []):
-            div = trial.get("divergence_ns")
-            div_ms = f"{div / 1e6:.1f}" if div is not None else "none"
-            lines.append(
-                f"| {scenario} | {row['base_fault_seed']} "
-                f"| {row['trace_rows']} | f{trial['fault_seed']} "
-                f"| {trial['identical_prefix']} | {div_ms} |")
     return lines
 
 
@@ -500,10 +474,6 @@ def render_campaign_report(payload: Dict[str, Any],
     if tiers:
         lines += _tiers_lines(tiers)
         lines.append("")
-    replay = payload.get("replay")
-    if replay:
-        lines += _replay_lines(replay)
-        lines.append("")
     if trajectory is not None:
         lines += _trajectory_lines(trajectory)
         lines.append("")
@@ -531,7 +501,7 @@ def campaign_report_json(payload: Dict[str, Any],
     ``sort_keys=True`` for byte-stable output)."""
     out: Dict[str, Any] = {}
     for key in ("scenarios", "availability", "audit", "tiers",
-                "replay", "failures"):
+                "failures"):
         if payload.get(key):
             out[key] = payload[key]
     if trajectory is not None:

@@ -40,36 +40,21 @@ from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import NS_PER_MS, HardwareParams
 from repro.obs.profile import tier_snapshot
-from repro.sim.channels import attach_channels
 from repro.sim.engine import Simulator
-from repro.sim.oplog import OP_MEMO, OP_REAL, OP_RETIRE, OpLog
-from repro.sim.replay import ReplaySession, replay_from_env
-from repro.sim.shard import ShardEngine, plan_shards, shards_from_env
 from repro.sim.snapshot import SystemImage, snapshot_enabled
 
 BENCH_SCHEMA = "hive-throughput/v1"
 
-#: simulated counters that must match byte-for-byte between a sharded
-#: run and the sequential engine (the HIVE_SHARDS determinism contract).
-#: ``tiers`` covers the per-tier coherence attribution (hits, misses,
-#: memo replays) and ``channels`` the intercell channel fingerprint.
-SHARD_EQUIV_KEYS = (
+#: the HIVE_SNAPSHOT determinism contract: fork-then-run must match
+#: fresh-boot-then-run on these counters (boot draws no RNG; a forked
+#: system is reseeded to the trial seed before it runs).  ``tiers``
+#: covers the per-tier coherence attribution (hits, misses, memo
+#: replays).
+SNAPSHOT_EQUIV_KEYS = (
     "events", "accesses", "driver_accesses", "discarded_pages",
     "writable_page_samples", "samples", "recovery_detected", "sim_ms",
-    "tiers", "channels",
+    "tiers",
 )
-
-#: the HIVE_REPLAY determinism contract: a trace-replayed run must match
-#: a live run on the same counters a sharded run must match.  (The
-#: ``tiers`` comparison strips the ``replay`` section first — the hit/
-#: fallback attribution is the one counter that *says* which execution
-#: tier ran, exactly like ``shard`` metadata on sharded rows.)
-REPLAY_EQUIV_KEYS = SHARD_EQUIV_KEYS
-
-#: the HIVE_SNAPSHOT determinism contract: fork-then-run must match
-#: fresh-boot-then-run on the same counters (boot draws no RNG; a forked
-#: system is reseeded to the trial seed before it runs).
-SNAPSHOT_EQUIV_KEYS = SHARD_EQUIV_KEYS
 
 
 @dataclass(frozen=True)
@@ -124,24 +109,9 @@ def _exporter(sim: Simulator, cell, client_cell: int, nframes: int,
 
 
 def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
-             ready, cfg: ThroughputConfig, stop_ns: int, counters: dict,
-             lane=None, record=None, session=None):
+             ready, cfg: ThroughputConfig, stop_ns: int, counters: dict):
     """Issue real coherence reads/ownership requests against the frames
-    the neighbour granted.  Stops when its cell dies or loses access.
-
-    Under the sharded engine (``lane`` set) the driver registers itself
-    as a shard chain: wakeups whose accesses are provably memo replays
-    collapse into one park (``ShardedChain.credit``), and even real
-    accesses park through the chain so the coordinator owns the clock.
-    The sequential path (``lane is None``) is byte-for-byte the code
-    that ran before sharding existed.
-
-    ``record`` (an :class:`OpLog`, sequential runs only) captures one
-    columnar row per wakeup — observation only, the access stream is
-    untouched.  ``session`` (a :class:`ReplaySession`, always with a
-    lane) registers the chain as a trace-guided :class:`ReplayChain`
-    instead of a live sharded chain.
-    """
+    the neighbour granted.  Stops when its cell dies or loses access."""
     frames = yield ready
     machine = system.machine
     coh = machine.coherence
@@ -180,30 +150,10 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
                     for k in range(ops)]
         op_list = [(base + 2 * k) & 1 for k in range(ops)]
         cycle.append(coh.prepare_batch(line_ids, op_list))
-    if session is not None:
-        chain = session.register_chain(lane, coh, cell_id, cpu, cycle,
-                                       gap)
-    elif lane is not None:
-        chain = lane.register_chain(coh, cpu, cycle, gap)
-    else:
-        chain = None
-    node = cpu // machine.params.cpus_per_node
-    peek_memo = coh.peek_memo
     j = 0
     while sim.now < stop_ns:
         if cell_id in dead_cells or not cell_obj.alive:
             return None
-        if chain is not None:
-            k, sleep_ns, j2 = chain.credit(j, stop_ns)
-            if k:
-                counters["accesses"] += ops * k
-                j = j2
-                yield chain.park(sleep_ns, k)
-                continue
-        # Kind-classify the wakeup *before* issue (the peek is pure):
-        # a memo-valid batch will resolve as a pure memo replay, which
-        # is exactly the class of rows the replay tier may collapse.
-        peek = peek_memo(cpu, cycle[j]) if record is not None else None
         try:
             lat = access_prepared(cpu, cycle[j])
         except (BusError, FirewallViolation):
@@ -211,28 +161,12 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
             # revoked by preemptive discard.  The driver retires.  The
             # ops that completed before the raise still count.
             counters["accesses"] += coh.last_batch_completed
-            if record is not None:
-                record.append(sim.now, cell_id, node, OP_RETIRE,
-                              cycle[j].lines[0],
-                              coh.last_batch_completed, 0, j)
             return None
         counters["accesses"] += ops
-        if chain is not None:
-            # The live access may have rebuilt an all-hit memo without
-            # a directory mutation; the chain's peek cache can't see
-            # that through its generation key alone.
-            chain.invalidate_peeks()
-        if record is not None:
-            record.append(sim.now, cell_id, node,
-                          OP_MEMO if peek is not None else OP_REAL,
-                          cycle[j].lines[0], ops, lat, j)
         j += 1
         if j == period:
             j = 0
-        if chain is not None:
-            yield chain.park(lat + gap, 1)
-        else:
-            yield timeout(lat + gap)
+        yield timeout(lat + gap)
     return None
 
 
@@ -265,34 +199,15 @@ def boot_bench_system(config: str, seed: int = 1995,
 def run_throughput(config: str, seed: int = 1995,
                    batch: Optional[bool] = None,
                    wheel: Optional[bool] = None,
-                   shards: Optional[int] = None,
-                   channels: Optional[bool] = None,
-                   record: Optional[OpLog] = None,
-                   replay: Optional[OpLog] = None,
-                   inject_ms: Optional[int] = None,
                    system: Optional[HiveSystem] = None,
                    fork_wall_s: Optional[float] = None) -> dict:
     """Run the fixed scenario at one machine size; returns the result row.
 
     ``batch`` overrides the coherence controller's batched access path
     (None keeps the ``HIVE_BATCH`` environment default); ``wheel``
-    likewise overrides the engine timer wheel (``HIVE_WHEEL``);
-    ``shards`` the cell-sharded engine (``HIVE_SHARDS``, 0 = the
-    sequential engine).  The simulated counters are identical either
-    way — only wall clock changes.  ``channels`` forces the intercell
-    channel recorder on for a sequential run (it is always attached
-    under sharding), so a sequential baseline exposes the same channel
-    fingerprint a sharded run is compared against.
-
-    ``record`` captures the traffic drivers' op stream into the given
-    :class:`OpLog` (sequential engine only — observation, no behavior
-    change).  ``replay`` feeds a previously recorded log back through
-    trace-guided chains under the shard coordinator (one lane when
-    ``shards`` is 0, composing with any ``shards`` count otherwise);
-    ``HIVE_REPLAY=0`` ignores the log and runs live.  ``inject_ms``
-    overrides the config's fault-injection time — the fault-schedule
-    sweep's axis; everything before the moved fault replays, the
-    affected chains fall back to live execution at the divergence.
+    likewise overrides the engine timer wheel (``HIVE_WHEEL``).  The
+    simulated counters are identical either way — only wall clock
+    changes.
 
     ``system`` runs the scenario against an already-booted (snapshot-
     forked) system instead of booting one — its boot cost was paid by
@@ -309,40 +224,13 @@ def run_throughput(config: str, seed: int = 1995,
         # Forked / caller-booted: the image paid the boot already.
         boot_wall = 0.0
     sim = system.sim
-    params = system.machine.params
     if batch is not None:
         system.machine.coherence.batch_enabled = batch
-    if shards is None:
-        shards = shards_from_env()
-    use_replay = replay is not None and replay_from_env()
-    if record is not None and (shards > 0 or use_replay):
-        raise ValueError("recording requires the sequential engine "
-                         "(no shards, no replay)")
     registry = system.registry
     victim = cfg.num_cells - 1
     stop_ns = cfg.duration_ms * NS_PER_MS
-    if inject_ms is None:
-        inject_ms = cfg.inject_ms
-    inject_ns = inject_ms * NS_PER_MS
+    inject_ns = cfg.inject_ms * NS_PER_MS
     counters = {"accesses": 0, "samples": 0, "writable_page_samples": 0}
-
-    lookahead = params.min_intercell_latency_ns()
-    engine = None
-    chan = None
-    session = None
-    if shards > 0 or channels:
-        chan = attach_channels(system.machine, registry, lookahead,
-                               sim=sim)
-    if shards > 0 or use_replay:
-        groups = plan_shards(list(registry.cells), max(1, shards))
-        engine = ShardEngine(sim, groups, lookahead, channels=chan)
-    if use_replay:
-        session = ReplaySession(replay, cfg.name)
-        system.replay_session = session
-    if record is not None:
-        record.meta.update({"config": cfg.name, "seed": seed,
-                            "inject_ms": inject_ms,
-                            "duration_ms": cfg.duration_ms})
 
     for c in range(cfg.num_cells):
         cell = registry.cell_object(c)
@@ -353,10 +241,8 @@ def run_throughput(config: str, seed: int = 1995,
                               frames, ready), name=f"exporter{c}")
         client_cell = registry.cell_object(client)
         cpu = client_cell.cpu_ids[0]
-        lane = engine.lane_of(client) if engine is not None else None
         sim.process(_traffic(sim, system, client, cpu, ready, cfg,
-                             stop_ns, counters, lane=lane,
-                             record=record, session=session),
+                             stop_ns, counters),
                     name=f"traffic{client}")
         sim.process(_sampler(sim, cell, cfg.sample_interval_ms * NS_PER_MS,
                              stop_ns, counters), name=f"sampler{c}")
@@ -365,7 +251,6 @@ def run_throughput(config: str, seed: int = 1995,
                               registry.first_node_of(victim),
                               trigger="throughput-bench")
 
-    run = engine.run if engine is not None else sim.run
     # Cyclic GC passes contribute ~8% of wall on the large config and
     # cannot affect any simulated counter; suspend collection for the
     # measured window (the cycles it would have reclaimed are collected
@@ -374,11 +259,11 @@ def run_throughput(config: str, seed: int = 1995,
     gc.disable()
     try:
         wall0 = time.perf_counter()
-        run(until=inject_ns)
+        sim.run(until=inject_ns)
         wall_inject = time.perf_counter()
-        run(until=inject_ns + cfg.recovery_window_ms * NS_PER_MS)
+        sim.run(until=inject_ns + cfg.recovery_window_ms * NS_PER_MS)
         wall_recovered = time.perf_counter()
-        run(until=stop_ns)
+        sim.run(until=stop_ns)
         wall_end = time.perf_counter()
     finally:
         if gc_was_enabled:
@@ -413,18 +298,11 @@ def run_throughput(config: str, seed: int = 1995,
         "samples": counters["samples"],
         "recovery_detected": bool(records),
         "discarded_pages": discarded,
-        "shards": shards,
-        "inject_ms": inject_ms,
+        "inject_ms": cfg.inject_ms,
         # Hot-path tier attribution (seed-deterministic counts; the
         # engine section is non-null only under HIVE_PROFILE=1).
         "tiers": tier_snapshot(system),
     }
-    if chan is not None:
-        row["channels"] = chan.snapshot()
-    if engine is not None:
-        row["shard"] = engine.snapshot()
-    if session is not None:
-        row["replay"] = session.snapshot()
     return row
 
 
@@ -453,11 +331,7 @@ def _forked_throughput(system: HiveSystem, config: str,
 
 def run_throughput_forked(config: str, seed: int = 1995,
                           batch: Optional[bool] = None,
-                          wheel: Optional[bool] = None,
-                          shards: Optional[int] = None,
-                          channels: Optional[bool] = None,
-                          replay: Optional[OpLog] = None,
-                          inject_ms: Optional[int] = None) -> dict:
+                          wheel: Optional[bool] = None) -> dict:
     """``run_throughput`` against a snapshot fork instead of a fresh boot.
 
     The returned row is byte-identical on every simulated counter (the
@@ -467,8 +341,7 @@ def run_throughput_forked(config: str, seed: int = 1995,
     fresh boot per run, with ``fork_wall_s`` recording that boot —
     i.e. no amortization, same results.
     """
-    kwargs = dict(seed=seed, batch=batch, shards=shards,
-                  channels=channels, replay=replay, inject_ms=inject_ms)
+    kwargs = dict(seed=seed, batch=batch)
     if not snapshot_enabled():
         row = run_throughput(config, wheel=wheel, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
@@ -482,22 +355,16 @@ def run_throughput_forked(config: str, seed: int = 1995,
     return row
 
 
-def compare_snapshot(config: str, seed: int = 1995,
-                     shards: int = 0,
-                     replay_log: Optional[OpLog] = None) -> dict:
+def compare_snapshot(config: str, seed: int = 1995) -> dict:
     """The HIVE_SNAPSHOT equivalence gate for one config.
 
     Runs the scenario twice — fresh-boot-then-run and fork-then-run —
-    with the channel recorder attached on both sides, and diffs every
-    key in :data:`SNAPSHOT_EQUIV_KEYS`.  ``shards``/``replay_log``
-    compose the comparison with the other execution tiers (both sides
-    get the same setting).  Returns ``match`` plus the amortization the
-    fork bought (fresh boot wall vs fork wall).
+    and diffs every key in :data:`SNAPSHOT_EQUIV_KEYS`.  Returns
+    ``match`` plus the amortization the fork bought (fresh boot wall vs
+    fork wall).
     """
-    kwargs = dict(seed=seed, shards=shards, channels=True,
-                  replay=replay_log)
-    fresh = run_throughput(config, **kwargs)
-    forked = run_throughput_forked(config, **kwargs)
+    fresh = run_throughput(config, seed=seed)
+    forked = run_throughput_forked(config, seed=seed)
     mismatches = {}
     for key in SNAPSHOT_EQUIV_KEYS:
         if fresh.get(key) != forked.get(key):
@@ -506,7 +373,6 @@ def compare_snapshot(config: str, seed: int = 1995,
     fork_wall = forked["fork_wall_s"]
     return {
         "config": config,
-        "shards": shards,
         "mode": forked.get("snapshot", "boot"),
         "match": not mismatches,
         "mismatches": mismatches,
@@ -519,195 +385,10 @@ def compare_snapshot(config: str, seed: int = 1995,
     }
 
 
-def _strip_replay_tiers(row: dict) -> dict:
-    """A row's ``tiers`` with the ``replay`` attribution removed.
-
-    The replay section *names the execution tier* (trace hits vs
-    fallbacks), so it legitimately differs between a live and a
-    replayed run — like ``shard`` metadata, it is excluded from the
-    byte-identical contract, which covers every simulated counter.
-    """
-    tiers = dict(row.get("tiers") or {})
-    tiers.pop("replay", None)
-    return tiers
-
-
-def compare_shards(config: str, shards: int, seed: int = 1995,
-                   batch: Optional[bool] = None,
-                   wheel: Optional[bool] = None) -> dict:
-    """The HIVE_SHARDS equivalence gate for one config.
-
-    Runs the scenario sequentially (with the channel recorder attached,
-    so the channel fingerprint exists on both sides) and sharded, and
-    diffs every key in :data:`SHARD_EQUIV_KEYS`.  Returns a dict with
-    ``match`` plus the per-key mismatches (empty when equivalent).
-    """
-    seq = run_throughput(config, seed=seed, batch=batch, wheel=wheel,
-                         shards=0, channels=True)
-    shd = run_throughput(config, seed=seed, batch=batch, wheel=wheel,
-                         shards=shards)
-    mismatches = {}
-    for key in SHARD_EQUIV_KEYS:
-        if seq.get(key) != shd.get(key):
-            mismatches[key] = {"sequential": seq.get(key),
-                               "sharded": shd.get(key)}
-    return {
-        "config": config,
-        "shards": shards,
-        "match": not mismatches,
-        "mismatches": mismatches,
-        "sequential_events_per_sec": seq["events_per_sec"],
-        "sharded_events_per_sec": shd["events_per_sec"],
-        "replayed_wakeups": shd.get("shard", {}).get("replayed_wakeups", 0),
-    }
-
-
-def record_traces(configs: List[str], seed: int = 1995) -> Dict[str, OpLog]:
-    """One sequential recording pass per config; returns finalized logs."""
-    logs: Dict[str, OpLog] = {}
-    for name in configs:
-        log = OpLog()
-        run_throughput(name, seed=seed, record=log)
-        logs[name] = log.finalize()
-    return logs
-
-
-def _replay_mismatches(live: dict, rep: dict) -> dict:
-    """Diff a live and a replayed row over :data:`REPLAY_EQUIV_KEYS`."""
-    mismatches = {}
-    for key in REPLAY_EQUIV_KEYS:
-        if key == "tiers":
-            a, b = _strip_replay_tiers(live), _strip_replay_tiers(rep)
-        else:
-            a, b = live.get(key), rep.get(key)
-        if a != b:
-            mismatches[key] = {"live": a, "replay": b}
-    return mismatches
-
-
-def compare_replay(config: str, seed: int = 1995,
-                   shards: int = 0) -> dict:
-    """The HIVE_REPLAY equivalence gate for one config.
-
-    Records a live run (channel recorder attached so the fingerprint
-    exists on both sides), replays the trace — optionally composed with
-    ``shards`` lanes — and diffs every key in
-    :data:`REPLAY_EQUIV_KEYS`.  The recording run doubles as the live
-    baseline: capture is observation-only (a pure memo peek plus list
-    appends), which the replay-vs-live goldens verify rather than
-    assume.
-    """
-    log = OpLog()
-    live = run_throughput(config, seed=seed, channels=True, record=log)
-    log.finalize()
-    rep = run_throughput(config, seed=seed, channels=True, replay=log,
-                         shards=shards)
-    mismatches = _replay_mismatches(live, rep)
-    replay_stats = rep.get("replay", {})
-    return {
-        "config": config,
-        "shards": shards,
-        "match": not mismatches,
-        "mismatches": mismatches,
-        "live_events_per_sec": live["events_per_sec"],
-        "replay_events_per_sec": rep["events_per_sec"],
-        "replayed_from_trace": replay_stats.get("replayed_from_trace", 0),
-        "fallback_wakeups": replay_stats.get("fallback_wakeups", 0),
-        "trace_rows": len(log),
-    }
-
-
-def sweep_inject_times(config: str, trials: int) -> List[int]:
-    """The fault-schedule sweep axis: ``trials`` injection times spread
-    deterministically across the run (none equal to the recorded
-    default, so every sweep trial exercises the divergence path)."""
-    cfg = CONFIGS[config]
-    lo = max(1, cfg.inject_ms // 2)
-    hi = max(lo + 1, cfg.duration_ms - cfg.recovery_window_ms)
-    times = []
-    for i in range(1, trials + 1):
-        t = lo + (i * (hi - lo)) // (trials + 1)
-        if t == cfg.inject_ms:
-            t += 1
-        times.append(t)
-    return times
-
-
-def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
-                     shards: int = 0, repeats: int = 1) -> dict:
-    """A same-traffic fault-schedule sweep: record once, replay many.
-
-    Trial 0 runs live at the config's default injection time and
-    records the op trace.  Every sweep trial then moves the fault and
-    runs **twice** — live and trace-replayed — so the sweep both
-    measures the replay speedup and *gates* it: the two sides' counters
-    must match byte-for-byte at every moved fault time (the recorded
-    segments before/after the divergence replay, the affected chains
-    fall back to live execution).  Wall-clock rows keep the bench's
-    best-of-``repeats`` convention.
-    """
-    def best_of(fn):
-        best = None
-        for _ in range(max(1, repeats)):
-            row = fn()
-            if best is None or row["wall_s"] < best["wall_s"]:
-                best = row
-        return best
-
-    log = OpLog()
-    recorded = run_throughput(config, seed=seed, channels=True,
-                              record=log)
-    log.finalize()
-    rows = []
-    all_match = True
-    for inject in sweep_inject_times(config, trials):
-        live = best_of(lambda: run_throughput(
-            config, seed=seed, channels=True, inject_ms=inject))
-        rep = best_of(lambda: run_throughput(
-            config, seed=seed, channels=True, replay=log,
-            shards=shards, inject_ms=inject))
-        mismatches = _replay_mismatches(live, rep)
-        if mismatches:
-            all_match = False
-        replay_stats = rep.get("replay", {})
-        rows.append({
-            "inject_ms": inject,
-            "counters_match": not mismatches,
-            "mismatches": mismatches,
-            "live_events_per_sec": live["events_per_sec"],
-            "replay_events_per_sec": rep["events_per_sec"],
-            "speedup": round(rep["events_per_sec"]
-                             / live["events_per_sec"], 2),
-            "replayed_from_trace": replay_stats.get(
-                "replayed_from_trace", 0),
-            "fallback_wakeups": replay_stats.get("fallback_wakeups", 0),
-            "desyncs": replay_stats.get("desyncs", 0),
-            "events": rep["events"],
-        })
-    live_mean = sum(r["live_events_per_sec"] for r in rows) / len(rows)
-    rep_mean = sum(r["replay_events_per_sec"] for r in rows) / len(rows)
-    return {
-        "config": config,
-        "seed": seed,
-        "shards": shards,
-        "trials": trials,
-        "repeats": max(1, repeats),
-        "trace_rows": len(log),
-        "recorded_events_per_sec": recorded["events_per_sec"],
-        "rows": rows,
-        "live_events_per_sec_mean": round(live_mean, 1),
-        "replay_events_per_sec_mean": round(rep_mean, 1),
-        "speedup_mean": round(rep_mean / live_mean, 2),
-        "counters_match": all_match,
-    }
-
-
 def run_suite(configs: Optional[List[str]] = None,
               seed: int = 1995, repeats: int = 1,
               batch: Optional[bool] = None,
               wheel: Optional[bool] = None,
-              shards: Optional[int] = None,
-              replay_logs: Optional[Dict[str, OpLog]] = None,
               snapshot: bool = False) -> dict:
     """Run the scenario at the requested sizes; returns the bench payload.
 
@@ -720,8 +401,6 @@ def run_suite(configs: Optional[List[str]] = None,
     counters are seed-deterministic and identical across repeats (this
     is verified, not assumed); only the wall-clock figures differ.
 
-    ``replay_logs`` (per-config :class:`OpLog`, from ``repro bench
-    --record``) runs each config as a trace replay instead of live.
     ``snapshot`` boots each config once into a snapshot image and forks
     every repeat from it (``fork_wall_s`` replaces the per-repeat boot).
     """
@@ -732,9 +411,7 @@ def run_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_throughput_forked if snapshot else run_throughput
-            row = runner(name, seed=seed, batch=batch, wheel=wheel,
-                         shards=shards,
-                         replay=(replay_logs or {}).get(name))
+            row = runner(name, seed=seed, batch=batch, wheel=wheel)
             walls.append(row["wall_s"])
             if best is None:
                 best = row

@@ -361,10 +361,6 @@ def cmd_micro(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    if args.replay and not args.campaign:
-        print("error: --replay requires --campaign (it sweeps fault "
-              "seeds across campaign trials)", file=sys.stderr)
-        return 2
     if args.campaign:
         return _cmd_inject_campaign(args)
     telemetry = {"recorder": None, "system": None}
@@ -405,7 +401,7 @@ def cmd_inject(args) -> int:
         for trial in summary.trials:
             if not trial.contained:
                 print(f"   NOT CONTAINED (seed {trial.seed}): "
-                      f"{trial.notes}")
+                      f"{trial.failure_reason}")
         have_latencies = bool(summary.latencies_ms)
         scenario_payload[scenario] = {
             "workload": workload,
@@ -458,7 +454,6 @@ def _cmd_inject_campaign(args) -> int:
                                   agreement=args.agreement,
                                   telemetry_dir=args.telemetry_out,
                                   progress=args.progress,
-                                  replay=args.replay,
                                   snapshot=args.snapshot)
     failures = len(payload.get("failures", []))
     for failure in payload.get("failures", []):
@@ -483,7 +478,7 @@ def _cmd_inject_campaign(args) -> int:
         for trial in summary.trials:
             if not trial.contained:
                 print(f"   NOT CONTAINED (seed {trial.seed}): "
-                      f"{trial.notes}")
+                      f"{trial.failure_reason}")
     absorbed = 0
     audit = payload.get("audit")
     if audit is not None:
@@ -501,16 +496,6 @@ def _cmd_inject_campaign(args) -> int:
         print("error: --audit-out requested but the campaign produced "
               "no audit payload", file=sys.stderr)
         return 1
-    for scenario in sorted(payload.get("replay", {})):
-        row = payload["replay"][scenario]
-        print(f"replay streams {scenario}: base fault seed "
-              f"{row['base_fault_seed']}, {row['trace_rows']} trace rows")
-        for trial in row.get("trials", []):
-            div = trial.get("divergence_ns")
-            where = (f"diverges at {div / 1e6:.1f} ms "
-                     f"(identical prefix {trial['identical_prefix']} rows)"
-                     if div is not None else "identical stream")
-            print(f"   f{trial['fault_seed']}: {where}")
     par = payload["parallel"]
     print(f"campaign: {par['shards']} trials on "
           f"{par['effective_workers']}/{par['workers']} workers "
@@ -587,38 +572,13 @@ def cmd_bench(args) -> int:
     from repro.bench.parallel import DETERMINISTIC_KEYS, run_bench_campaign
     from repro.bench.throughput import (
         CONFIGS,
-        compare_shards,
         run_suite,
-        run_throughput,
         validate_payload,
         write_bench_file,
     )
 
-    from repro.sim.shard import shards_from_env
-
     names = list(CONFIGS) if args.config == "all" else [args.config]
-    shards = args.shards if args.shards is not None else shards_from_env()
-    replay_logs = None
-    if args.replay:
-        from repro.sim.oplog import load_oplogs
-
-        if args.parallel > 1:
-            print("error: --replay runs in-process; drop --parallel "
-                  "(the recorded logs do not ship to pool workers)",
-                  file=sys.stderr)
-            return 2
-        replay_logs = load_oplogs(args.replay)
-        missing = [n for n in names if n not in replay_logs]
-        if missing:
-            print(f"error: {args.replay} has no trace for "
-                  f"{', '.join(missing)} (recorded: "
-                  f"{', '.join(sorted(replay_logs))})", file=sys.stderr)
-            return 2
     mode = (f"{args.parallel} workers" if args.parallel > 1 else "serial")
-    if shards:
-        mode += f", {shards} shards"
-    if replay_logs is not None:
-        mode += f", replaying {args.replay}"
     if args.snapshot:
         mode += ", snapshot forks"
     print(f"throughput bench: {', '.join(names)} (seed {args.seed}, "
@@ -631,10 +591,7 @@ def cmd_bench(args) -> int:
                                      snapshot=args.snapshot)
     else:
         payload = run_suite(names, seed=args.seed, repeats=args.repeats,
-                            shards=shards, replay_logs=replay_logs,
                             snapshot=args.snapshot)
-    if replay_logs is not None:
-        payload["replay_source"] = args.replay
     failed = bool(payload.get("failures"))
     for failure in payload.get("failures", []):
         print(f"FAILED shard {failure['config']!r} repeat "
@@ -760,59 +717,6 @@ def cmd_bench(args) -> int:
         }
         print(f"deterministic counters wheel vs heap: "
               f"{'MATCH' if wheel_match else 'MISMATCH'}")
-    shard_match = True
-    if args.compare_shards:
-        n = args.compare_shards
-        print(f"shard equivalence run (HIVE_SHARDS={n} vs sequential)...")
-        compare = {}
-        for name in names:
-            result = compare_shards(name, n, seed=args.seed)
-            if not result["match"]:
-                shard_match = False
-                print(f"COUNTER MISMATCH (sharded vs sequential) in "
-                      f"{name!r}: {sorted(result['mismatches'])}",
-                      file=sys.stderr)
-            compare[name] = result
-            print(f"{name:>7}: "
-                  f"{result['sharded_events_per_sec']:>12,.0f} events/sec "
-                  f"sharded  "
-                  f"{result['sequential_events_per_sec']:>12,.0f} "
-                  f"sequential  ({result['replayed_wakeups']} wakeups "
-                  f"replayed)")
-        payload["shard_compare"] = {
-            "counters_match": shard_match,
-            "shards": n,
-            "results": compare,
-        }
-        print(f"deterministic counters sharded vs sequential: "
-              f"{'MATCH' if shard_match else 'MISMATCH'}")
-    if args.shard_scaling:
-        print("intra-run shard scaling (events/s vs shard count)...")
-        scaling = {}
-        for name in names:
-            rows = {}
-            for n in (0, 1, 2, 4):
-                best = None
-                for _ in range(max(1, args.repeats)):
-                    row = run_throughput(name, seed=args.seed, shards=n)
-                    if best is None or row["wall_s"] < best["wall_s"]:
-                        best = row
-                entry = {"events_per_sec": best["events_per_sec"],
-                         "wall_s": best["wall_s"]}
-                if n:
-                    entry["replayed_wakeups"] = \
-                        best["shard"]["replayed_wakeups"]
-                    entry["windows_closed"] = \
-                        best["shard"]["windows_closed"]
-                rows["sequential" if n == 0 else f"shards_{n}"] = entry
-            base = rows["sequential"]["events_per_sec"]
-            for key, entry in rows.items():
-                entry["speedup"] = round(entry["events_per_sec"] / base, 2)
-            scaling[name] = rows
-            print(f"{name:>7}: " + "  ".join(
-                f"{key}={entry['events_per_sec']:,.0f} "
-                f"({entry['speedup']}x)" for key, entry in rows.items()))
-        payload["shard_scaling"] = scaling
     rpc_match = True
     if args.rpc:
         from repro.bench.rpcbench import (
@@ -857,71 +761,6 @@ def cmd_bench(args) -> int:
         }
         print(f"deterministic counters rpc fast vs slow: "
               f"{'MATCH' if rpc_match else 'MISMATCH'}")
-    if args.record:
-        from repro.bench.throughput import record_traces
-        from repro.sim.oplog import save_oplogs
-
-        print(f"recording op traces: {', '.join(names)} -> {args.record}")
-        logs = record_traces(names, seed=args.seed)
-        save_oplogs(args.record, logs)
-        payload["record"] = {
-            "path": args.record,
-            "trace_rows": {name: len(log) for name, log in logs.items()},
-        }
-        for name in names:
-            print(f"{name:>7}: {len(logs[name])} rows recorded")
-    replay_match = True
-    if args.compare_replay:
-        from repro.bench.throughput import compare_replay
-
-        print("replay equivalence run (trace replay vs live)...")
-        compare = {}
-        for name in names:
-            result = compare_replay(name, seed=args.seed,
-                                    shards=shards or 0)
-            if not result["match"]:
-                replay_match = False
-                print(f"COUNTER MISMATCH (replay vs live) in {name!r}: "
-                      f"{sorted(result['mismatches'])}", file=sys.stderr)
-            compare[name] = result
-            print(f"{name:>7}: "
-                  f"{result['replay_events_per_sec']:>12,.0f} events/sec "
-                  f"replayed  "
-                  f"{result['live_events_per_sec']:>12,.0f} live  "
-                  f"({result['replayed_from_trace']} wakeups from trace, "
-                  f"{result['fallback_wakeups']} live fallbacks)")
-        payload["replay_compare"] = {
-            "counters_match": replay_match,
-            "shards": shards or 0,
-            "results": compare,
-        }
-        print(f"deterministic counters replay vs live: "
-              f"{'MATCH' if replay_match else 'MISMATCH'}")
-    sweep_match = True
-    if args.sweep_faults:
-        from repro.bench.throughput import run_replay_sweep
-
-        print(f"fault-schedule sweep: record once, replay "
-              f"{args.sweep_faults} moved-fault trials per config...")
-        sweeps = {}
-        for name in names:
-            sweep = run_replay_sweep(name, trials=args.sweep_faults,
-                                     seed=args.seed, shards=shards or 0,
-                                     repeats=args.repeats)
-            if not sweep["counters_match"]:
-                sweep_match = False
-                print(f"COUNTER MISMATCH (sweep replay vs live) in "
-                      f"{name!r}", file=sys.stderr)
-            sweeps[name] = sweep
-            print(f"{name:>7}: replay "
-                  f"{sweep['replay_events_per_sec_mean']:>12,.0f} "
-                  f"events/sec vs live "
-                  f"{sweep['live_events_per_sec_mean']:>12,.0f} -> "
-                  f"{sweep['speedup_mean']}x over {sweep['trials']} "
-                  f"moved faults")
-        payload["replay_sweep"] = sweeps
-        print(f"deterministic counters sweep replay vs live: "
-              f"{'MATCH' if sweep_match else 'MISMATCH'}")
     snapshot_match = True
     if args.compare_snapshot:
         from repro.bench.throughput import compare_snapshot
@@ -929,8 +768,7 @@ def cmd_bench(args) -> int:
         print("snapshot equivalence run (forked vs fresh boot)...")
         compare = {}
         for name in names:
-            result = compare_snapshot(name, seed=args.seed,
-                                      shards=shards or 0)
+            result = compare_snapshot(name, seed=args.seed)
             if not result["match"]:
                 snapshot_match = False
                 print(f"COUNTER MISMATCH (forked vs boot) in {name!r}: "
@@ -942,7 +780,6 @@ def cmd_bench(args) -> int:
                   f"{result['mode']})")
         payload["snapshot_compare"] = {
             "counters_match": snapshot_match,
-            "shards": shards or 0,
             "results": compare,
         }
         print(f"deterministic counters forked vs boot: "
@@ -986,9 +823,7 @@ def cmd_bench(args) -> int:
     write_bench_file(args.out, payload)
     print(f"bench written       : {args.out}")
     return 1 if (failed or not counters_match or not wheel_match
-                 or not rpc_match or not shard_match
-                 or not replay_match or not sweep_match
-                 or not snapshot_match) else 0
+                 or not rpc_match or not snapshot_match) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1071,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inject.add_argument("--campaign", action="store_true",
                           help="shard trials across a process pool and "
                                "merge the per-trial payloads")
-    p_inject.add_argument("--replay", action="store_true",
-                          help="with --campaign: fix the workload seed "
-                               "and sweep only the fault seed; each "
-                               "trial records its op trace and the "
-                               "merge reports where every stream "
-                               "diverges from trial 0's")
     p_inject.add_argument("--parallel", type=int, default=2, metavar="N",
                           help="worker processes for --campaign "
                                "(default: 2)")
@@ -1151,40 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the RPC round-trip microbench "
                               "with the fast path on and off and verify "
                               "the RPC counters match")
-    p_bench.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="run the suite on the cell-sharded engine "
-                              "with N shard lanes (default: the "
-                              "HIVE_SHARDS env setting, else 0 = "
-                              "sequential engine)")
-    p_bench.add_argument("--compare-shards", type=int, default=0,
-                         metavar="N",
-                         help="also run each config sharded (N lanes) "
-                              "and sequentially and verify the "
-                              "deterministic counters and channel "
-                              "digests match byte-for-byte")
-    p_bench.add_argument("--shard-scaling", action="store_true",
-                         help="also measure events/s at shard counts "
-                              "1/2/4 vs the sequential engine and "
-                              "record the scaling table")
-    p_bench.add_argument("--record", metavar="FILE", default=None,
-                         help="also record each config's op trace into "
-                              "one compressed .npz archive, replayable "
-                              "via --replay")
-    p_bench.add_argument("--replay", metavar="FILE", default=None,
-                         help="run the suite as a trace replay of the "
-                              "archive recorded with --record (serial "
-                              "only; counters stay byte-identical to "
-                              "live runs)")
-    p_bench.add_argument("--compare-replay", action="store_true",
-                         help="record each config, replay the trace, "
-                              "and verify the deterministic counters "
-                              "and channel digests match byte-for-byte")
-    p_bench.add_argument("--sweep-faults", type=int, default=0,
-                         metavar="N",
-                         help="record once per config, then run N "
-                              "moved-fault trials both live and "
-                              "replayed; gates counter equivalence and "
-                              "records the replay speedup")
     p_bench.add_argument("--snapshot", action="store_true",
                          help="fork each run from a per-config snapshot "
                               "image instead of re-booting (counters "

@@ -110,6 +110,10 @@ class _ServiceTask:
 
     __slots__ = ("sub", "gen", "_cb")
 
+    #: what the profiled engine loop files this task's dispatches under
+    #: (:class:`~repro.sim.engine.Process` carries a per-instance name)
+    name = "rpc.service"
+
     def __init__(self, sub: "RpcSubsystem"):
         self.sub = sub
         self.gen = None

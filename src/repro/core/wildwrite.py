@@ -70,14 +70,6 @@ class FirewallManager:
         pf.export_writable.add(client_cell)
         self.grants += 1
         self.cell.firewall_metrics.counter("grants").add()
-        channels = self.cell.machine.channels
-        if channels is not None:
-            # The flip happens at the memory home and changes what the
-            # client cell may write: home node -> client, one op per
-            # grant (the group-grant covers all the client's CPUs).
-            channels.firewall(
-                node, client_nodes[0], True,
-                self.cell.machine.params.firewall_update_ns)
         obs = self.cell.obs
         if obs.enabled:
             obs.event("firewall.grant", "firewall",
@@ -115,12 +107,6 @@ class FirewallManager:
         pf.export_writable.discard(client_cell)
         self.revokes += 1
         self.cell.firewall_metrics.counter("revokes").add()
-        channels = self.cell.machine.channels
-        if channels is not None:
-            params = self.cell.machine.params
-            channels.firewall(
-                node, client_nodes[0], False,
-                params.firewall_update_ns + params.firewall_revoke_extra_ns)
         obs = self.cell.obs
         if obs.enabled:
             obs.event("firewall.revoke", "firewall",

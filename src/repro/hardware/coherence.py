@@ -110,7 +110,7 @@ class PreparedBatch:
     """
 
     __slots__ = ("lines", "ops", "home_nodes", "memo", "lines_arr",
-                 "write_mask", "line_set", "memo_gen")
+                 "write_mask")
 
     def __init__(self, lines: List[int], ops: List[int],
                  home_nodes: Tuple[int, ...]):
@@ -123,10 +123,6 @@ class PreparedBatch:
         #: :meth:`CoherenceController._revalidate_memo`)
         self.lines_arr = np.asarray(lines, dtype=np.int64)
         self.write_mask = np.asarray(ops, dtype=bool)
-        self.line_set = frozenset(lines)
-        #: ``CoherenceController.mutation_gen`` when ``memo`` was built
-        #: or last revalidated — the mutation-log scan starts there.
-        self.memo_gen = 0
 
 
 @dataclass(slots=True)
@@ -161,11 +157,10 @@ class CoherenceController:
         "_bytes_per_node", "_line_size", "_lines_per_page",
         "_pages_per_node", "_cpus_per_node", "_hit_latency",
         "_firewall_check_ns", "_mem_latency_ns", "stats",
-        "remote_write_hist", "batch_enabled", "_node_gen", "mutation_gen",
-        "_mut_lines", "_mut_base",
+        "remote_write_hist", "batch_enabled", "_node_gen",
         "_lines_per_node", "_total_lines", "_owner_arr", "_sharer_bits",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
-        "tier_vector_batches", "tier_scalar_batches", "channels",
+        "tier_vector_batches", "tier_scalar_batches",
     )
 
     def __init__(self, params: HardwareParams, memory: PhysicalMemory,
@@ -204,20 +199,6 @@ class CoherenceController:
         #: to a line homed on a node invalidates prepared-batch memos
         #: whose lines live there.
         self._node_gen: List[int] = [0] * params.num_nodes
-        #: monotone summary of every ``_node_gen`` bump: while it (and
-        #: the memory's fault generation) stands still, no valid batch
-        #: memo can be invalidated — the shard/replay chains key their
-        #: per-cycle peek caches on it.
-        self.mutation_gen = 0
-        #: the mutation log: entry ``g - _mut_base`` is the line mutated
-        #: by generation bump ``g`` (-1 = every line, from
-        #: :meth:`_bump_all_generations`).  Lets memo revalidation ask
-        #: the exact question — "did any mutation since my build touch
-        #: one of MY lines?" — in O(mutations since build) set probes.
-        #: Trimmed from the front once it exceeds ~1M entries; memos
-        #: older than ``_mut_base`` fall back to the dense-mirror check.
-        self._mut_lines: List[int] = []
-        self._mut_base = 0
         self._lines_per_node = self._bytes_per_node // self._line_size
         self._total_lines = self._total_bytes // self._line_size
         # Dense numpy mirrors of directory state for the vectorized
@@ -236,12 +217,6 @@ class CoherenceController:
         self.tier_inline_batches = 0
         self.tier_vector_batches = 0
         self.tier_scalar_batches = 0
-        #: optional intercell channel recorder (``sim/channels.py``).  A
-        #: plain None slot like the provenance tracer: the hardware
-        #: layer publishes cross-cell misses through it when attached
-        #: and pays one attribute test per *miss* otherwise — hit paths
-        #: never look at it (a hit never crosses a cell boundary).
-        self.channels = None
 
     # -- helpers ------------------------------------------------------
 
@@ -302,10 +277,6 @@ class CoherenceController:
         # A miss always mutates the directory entry (the CPU becomes a
         # sharer), so the home node's batch-memo generation advances.
         self._node_gen[line // self._lines_per_node] += 1
-        self.mutation_gen += 1
-        self._mut_lines.append(line)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
         mirror = self._sharer_bits
         owner = st.owner
         if owner is not None and owner != cpu:
@@ -327,11 +298,6 @@ class CoherenceController:
         self._sharer_lines[src_node].add(line)
         if mirror is not None:
             mirror[line] |= 1 << cpu
-        channels = self.channels
-        if channels is not None:
-            home_node = addr // self._bytes_per_node
-            if home_node != src_node:
-                channels.coherence_miss(src_node, home_node, False, latency)
         return latency
 
     def write(self, cpu: int, addr: int) -> int:
@@ -382,16 +348,9 @@ class CoherenceController:
             stats.remote_write_misses += 1
             stats.remote_write_miss_ns_total += latency
             self.remote_write_hist.record(latency)
-            channels = self.channels
-            if channels is not None:
-                channels.coherence_miss(src_node, home_node, True, latency)
         cpus_per_node = self._cpus_per_node
         # Ownership changes hands: advance the home node's generation.
         self._node_gen[line // self._lines_per_node] += 1
-        self.mutation_gen += 1
-        self._mut_lines.append(line)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
         old_owner = st.owner
         sharers = st.sharers
         invalidated = len(sharers) - (1 if cpu in sharers else 0)
@@ -417,31 +376,6 @@ class CoherenceController:
 
     def _bump_all_generations(self) -> None:
         self._node_gen = [g + 1 for g in self._node_gen]
-        self.mutation_gen += 1
-        self._mut_lines.append(-1)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
-
-    def _trim_mut_log(self) -> None:
-        """Drop the older half of the mutation log (memory bound);
-        memos built before the new base use the dense mirrors instead."""
-        log = self._mut_lines
-        half = len(log) // 2
-        self._mut_lines = log[half:]
-        self._mut_base += half
-
-    def memo_gen_key(self, home_nodes) -> tuple:
-        """Generation fingerprint over ``home_nodes``.
-
-        A memo whose lines all live on these nodes cannot change
-        validity while the fingerprint stands still: every directory
-        mutation bumps the home node of the mutated line.  Lets callers
-        scope staleness checks to the nodes they touch instead of the
-        machine-global ``mutation_gen`` (which kernel traffic on other
-        nodes churns constantly).
-        """
-        gens = self._node_gen
-        return tuple(gens[n] for n in home_nodes)
 
     def enable_batch_index(self) -> bool:
         """Build the dense owner/sharer mirrors from the sparse directory.
@@ -536,17 +470,13 @@ class CoherenceController:
 
         The per-node generations over-approximate invalidation: any
         miss on a home node drops every memo keyed there, even when
-        none of *this* batch's lines changed hands.  Two exact checks,
-        cheapest first: the mutation log answers "did any mutation
-        since this memo's build touch one of MY lines?" in a handful of
-        set probes; on overlap (or a trimmed log) the dense mirrors
-        settle it — if every read line is still cached by ``cpu`` and
-        every write line still owned exclusively, the batch still
-        resolves all-hits with the same latency and hit counts, so only
-        the memo's generation key needs refreshing.  Never attempted
-        while a home node is in fault state (failures must force
-        re-execution), and a refresh is not a directory mutation
-        (``mutation_gen`` does not move).
+        none of *this* batch's lines changed hands.  The dense mirrors
+        give the exact answer: if every read line is still cached by
+        ``cpu`` and every write line still owned exclusively, the batch
+        still resolves all-hits with the same latency and hit counts, so
+        only the memo's generation key needs refreshing.  Never
+        attempted while a home node is in fault state (failures must
+        force re-execution), and a refresh is not a directory mutation.
         """
         mem = self.memory
         if mem._any_faults:
@@ -554,37 +484,22 @@ class CoherenceController:
             for node in prepared.home_nodes:
                 if state[node]:
                     return False
-        start = prepared.memo_gen
-        end = self.mutation_gen
-        base = self._mut_base
-        valid = False
-        if start >= base and end - start <= 512:
-            log = self._mut_lines
-            lset = prepared.line_set
-            valid = True
-            for idx in range(start - base, end - base):
-                mutated = log[idx]
-                if mutated < 0 or mutated in lset:
-                    valid = False
-                    break
-        if not valid:
-            if self._owner_arr is None and not self.enable_batch_index():
+        if self._owner_arr is None and not self.enable_batch_index():
+            return False
+        lines = prepared.lines_arr
+        owns = self._owner_arr[lines] == cpu
+        if not owns.all():
+            cached = owns | (((self._sharer_bits[lines]
+                               >> np.uint64(cpu))
+                              & np.uint64(1)).astype(bool))
+            if not bool(np.all(np.where(prepared.write_mask, owns,
+                                        cached))):
                 return False
-            lines = prepared.lines_arr
-            owns = self._owner_arr[lines] == cpu
-            if not owns.all():
-                cached = owns | (((self._sharer_bits[lines]
-                                   >> np.uint64(cpu))
-                                  & np.uint64(1)).astype(bool))
-                if not bool(np.all(np.where(prepared.write_mask, owns,
-                                            cached))):
-                    return False
         memo = prepared.memo
         gens = self._node_gen
         prepared.memo = (
             cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
             memo[2], memo[3], memo[4], memo[5])
-        prepared.memo_gen = end
         return True
 
     def access_prepared(self, cpu: int, prepared: PreparedBatch) -> int:
@@ -642,82 +557,9 @@ class CoherenceController:
             prepared.memo = (
                 cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
                 latency, n_rh, n_wh, len(prepared.lines))
-            prepared.memo_gen = self.mutation_gen
         else:
             prepared.memo = None
         return latency
-
-    def peek_memo(self, cpu: int, prepared: PreparedBatch) -> Optional[tuple]:
-        """Would :meth:`access_prepared` replay from the memo right now?
-
-        Returns the memo's ``(latency, read_hits, write_hits)`` when the
-        batch would resolve as a pure memo replay for ``cpu`` at this
-        instant, else None.  No state is touched — this is the shard
-        engine's validity probe: a chain of wakeups may only be replayed
-        arithmetically (:meth:`replay_memo`) while every batch in the
-        chain passes this check, and nothing can invalidate a memo
-        between engine events (every directory or fault-state mutation
-        happens inside one).
-        """
-        if not self.batch_enabled:
-            return None
-        memo = prepared.memo
-        if memo is None or memo[0] != cpu:
-            return None
-        mem = self.memory
-        gens = self._node_gen
-        faulty = mem._any_faults
-        state = mem._node_state
-        for node, gen in memo[1]:
-            if gens[node] != gen or (faulty and state[node]):
-                if self._revalidate_memo(cpu, prepared):
-                    return (memo[2], memo[3], memo[4])
-                return None
-        return (memo[2], memo[3], memo[4])
-
-    def replay_memo(self, prepared: PreparedBatch, count: int) -> None:
-        """Apply ``count`` memo replays of a batch in one step.
-
-        Byte-equivalent to calling :meth:`access_prepared` ``count``
-        times while :meth:`peek_memo` holds: the same stats cells move
-        by the same amounts (``count`` memo-tier hits, ``count`` x the
-        memoized hit counts) and ``last_batch_completed`` lands on the
-        batch length exactly as each individual replay would leave it.
-        """
-        memo = prepared.memo
-        self.tier_memo_hits += count
-        stats = self.stats
-        stats.read_hits += memo[3] * count
-        stats.write_hits += memo[4] * count
-        self.last_batch_completed = memo[5]
-
-    def replay_memo_cycle(self, batches: Sequence[PreparedBatch],
-                          counts: Sequence[int]) -> None:
-        """Replay a whole cycle's memos at once (``counts[i]`` replays
-        of ``batches[i]``).
-
-        Byte-equivalent to calling :meth:`replay_memo` per batch — the
-        same stats cells move by the same totals — with one stats
-        update instead of one per batch (the replay engine's segment
-        commit calls this once per park).
-        """
-        hits = rh = wh = 0
-        last = None
-        for prepared, count in zip(batches, counts):
-            if not count:
-                continue
-            memo = prepared.memo
-            hits += count
-            rh += memo[3] * count
-            wh += memo[4] * count
-            last = memo[5]
-        if last is None:
-            return
-        self.tier_memo_hits += hits
-        stats = self.stats
-        stats.read_hits += rh
-        stats.write_hits += wh
-        self.last_batch_completed = last
 
     def access_batch(self, cpu: int, lines, ops) -> int:
         """Batched :meth:`read`/:meth:`write`: arrays in, total ns out.

@@ -64,10 +64,6 @@ class Machine:
         #: frames whose only valid copy died in a failed node's cache, as
         #: reported by the fault model at each failure (for audit/tests).
         self.lost_frames_log: List[Set[int]] = []
-        #: optional intercell channel recorder (``sim/channels.py``);
-        #: ``attach_channels`` sets it, kernel-layer publishers (the
-        #: firewall manager) check it against None.
-        self.channels = None
 
     # -- lookups --------------------------------------------------------
 

@@ -48,7 +48,7 @@ class PhysicalMemory:
         "params", "firewall_enabled", "firewalls", "_pages",
         "_failed_nodes", "_cutoff_nodes", "_total_pages",
         "_pages_per_node", "_cpus_per_node", "_any_faults",
-        "_node_state", "fault_gen", "_zero",
+        "_node_state", "_zero",
     )
 
     def __init__(self, params: HardwareParams,
@@ -71,11 +71,6 @@ class PhysicalMemory:
         #: False while no node is failed or cut off — the coherence fast
         #: path checks this one flag instead of two sets per access.
         self._any_faults = False
-        #: monotone fault-topology generation: bumps on every node
-        #: fail/revive/cutoff transition, so memo-peek caches keyed on
-        #: (directory mutation_gen, fault_gen) stay sound across runs
-        #: where a failed node lingers in the topology.
-        self.fault_gen = 0
         #: per-node fault state (0 healthy, 1 failed, 2 cutoff): one list
         #: index on the degraded-machine path instead of set probes.
         self._node_state = [0] * params.num_nodes
@@ -91,7 +86,6 @@ class PhysicalMemory:
         self._failed_nodes.add(node)
         self._any_faults = True
         self._node_state[node] = 1
-        self.fault_gen += 1
 
     def revive_node(self, node: int) -> None:
         """Bring a node's memory back after diagnostics pass (reintegration).
@@ -103,7 +97,6 @@ class PhysicalMemory:
         self._cutoff_nodes.discard(node)
         self._any_faults = bool(self._failed_nodes or self._cutoff_nodes)
         self._node_state[node] = 0
-        self.fault_gen += 1
         self.firewalls[node].reset()
         # Bulk-clear the node's resident pages: select the keys inside
         # the node's frame range vectorized instead of probing all
@@ -124,7 +117,6 @@ class PhysicalMemory:
         """Cut off all *remote* access to this node's memory (cell panic)."""
         self._cutoff_nodes.add(node)
         self._any_faults = True
-        self.fault_gen += 1
         # A node can be both failed and cut off; failed takes precedence.
         if self._node_state[node] == 0:
             self._node_state[node] = 2

@@ -124,12 +124,10 @@ class HardwareParams:
     def min_intercell_latency_ns(self) -> int:
         """The fastest any hardware operation crosses a cell boundary.
 
-        This is the authoritative conservative-synchronization lookahead
-        for the sharded engine (``sim/shard.py``): no intercell channel
-        op — remote miss, SIPS delivery, or firewall flip — can take
-        effect in another cell sooner than this, so a shard that has
-        drained its inputs up to time T is safe to advance to T plus
-        this bound.  Derived, never hard-coded: the minimum of the
+        No intercell operation — remote miss, SIPS delivery, or
+        firewall flip — can take effect in another cell sooner than
+        this; the RPC microbench derives its round-trip latency floor
+        from it.  Derived, never hard-coded: the minimum of the
         remote-miss latency, the end-to-end SIPS delivery, and the
         firewall status-change cost.
         """

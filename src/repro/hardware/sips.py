@@ -79,10 +79,6 @@ class SipsFabric:
         # it).  A plain None slot, not a null object: the hardware layer
         # must not import the obs package.
         self.prov = None
-        # Optional intercell channel recorder (``sim/channels.py``),
-        # same None-slot idiom: every SIPS is potential intercell
-        # traffic, published with its end-to-end delivery latency.
-        self.channels = None
         for node in range(params.num_nodes):
             self._queues[(node, REQUEST)] = deque()
             self._queues[(node, REPLY)] = deque()
@@ -154,9 +150,6 @@ class SipsFabric:
         prov = self.prov
         if prov is not None:
             prov.sips_sent(src_node, dst_node, kind)
-        channels = self.channels
-        if channels is not None:
-            channels.sips(src_node, dst_node, kind, latency)
         self.interconnect.messages_sent += 1
         self.sim.schedule(latency, self._deliver, msg)
         return msg

@@ -709,47 +709,6 @@ class Simulator:
                 lst.clear()
         self._wslot = target
 
-    # -- shard-coordinator support ------------------------------------
-
-    def next_event_time(self) -> Optional[int]:
-        """Earliest pending entry's time, or None when the queue is empty.
-
-        The shard coordinator (:mod:`repro.sim.shard`) uses this as the
-        conservative horizon for chain replay: parked chain wakeups live
-        *outside* the queue tiers, so the answer is exactly "when does
-        the next engine-scheduled event fire".  Cancelled heads are
-        popped (they would be skipped by the run loops anyway) and due
-        wheel slots are dumped so the heap head is authoritative.
-        """
-        if self._nowq:
-            return self.now
-        queue = self._queue
-        heappop = heapq.heappop
-        while True:
-            if self._wheel_count:
-                self._advance_wheel()
-            while queue and queue[0][2] is None:
-                heappop(queue)
-            if queue or not self._wheel_count:
-                break
-        return queue[0][0] if queue else None
-
-    def advance_to(self, t: int) -> None:
-        """Jump the clock forward to ``t`` without dispatching.
-
-        Only the shard coordinator calls this, and only for times it
-        has proven quiescent (strictly before :meth:`next_event_time`);
-        the wheel cursor is fast-forwarded exactly as the run loops do
-        when they overshoot to a deadline.
-        """
-        if t < self.now:
-            raise SimulationError(
-                f"advance_to({t}) would move time backwards "
-                f"(now={self.now})")
-        self.now = t
-        if self._wheel_on:
-            self._ff_wslot(t)
-
     # -- dispatch -----------------------------------------------------
 
     def run(self, until: Optional[int] = None, max_events: int = 200_000_000) -> None:

@@ -12,6 +12,7 @@ from repro.bench.faultexp import FaultTrialResult
 from repro.bench.parallel import (
     DETERMINISTIC_KEYS,
     CampaignError,
+    _warn_cpu_cap,
     merge_bench_shards,
     merge_inject_shards,
     run_bench_campaign,
@@ -142,6 +143,46 @@ class TestTrialRoundTrip:
         assert trial.contained
 
 
+class TestTrialFailureReason:
+    """The NOT CONTAINED reason is derived from the verdict fields and
+    is never empty for an uncontained trial."""
+
+    @staticmethod
+    def _trial(**fields):
+        verdict = dict(detected=True, contained=False, survivors_alive=True,
+                       outputs_ok=True, check_ok=True, notes="")
+        verdict.update(fields)
+        return FaultTrialResult(
+            scenario="sw_cow_tree", seed=3, injected_at_ns=1,
+            last_entry_latency_ns=None, **verdict)
+
+    def test_contained_has_no_reason(self):
+        assert self._trial(contained=True).failure_reason is None
+
+    def test_harness_exception_comes_first_with_notes(self):
+        trial = self._trial(detected=False, survivors_alive=False,
+                            notes="main workload: AttributeError: x")
+        assert trial.failure_reason == \
+            "harness exception: main workload: AttributeError: x"
+
+    @pytest.mark.parametrize("fields, reason", [
+        (dict(detected=False, survivors_alive=False, check_ok=False,
+              outputs_ok=False), "undetected"),
+        (dict(survivors_alive=False, check_ok=False, outputs_ok=False),
+         "survivor died"),
+        (dict(check_ok=False, outputs_ok=False), "check failed"),
+        (dict(outputs_ok=False), "outputs corrupt"),
+        (dict(), "not contained"),
+    ])
+    def test_verdict_order(self, fields, reason):
+        assert self._trial(**fields).failure_reason == reason
+
+    def test_survives_the_dict_round_trip(self):
+        trial = self._trial(detected=False)
+        again = FaultTrialResult.from_dict(trial.to_dict())
+        assert again.failure_reason == "undetected"
+
+
 class TestRealCampaign:
     """End-to-end pool run on the smallest config (seconds, not minutes)."""
 
@@ -157,3 +198,10 @@ class TestRealCampaign:
         srow = serial["results"]["small"]
         for key in DETERMINISTIC_KEYS:
             assert prow[key] == srow[key], key
+
+
+class TestCpuCap:
+    def test_cpu_cap_warning(self, capsys):
+        assert _warn_cpu_cap(10_000, 1) is True
+        assert "capped" in capsys.readouterr().err
+        assert _warn_cpu_cap(1, 1) is False

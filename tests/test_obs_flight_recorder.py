@@ -18,6 +18,7 @@ from repro.obs import (
     to_chrome_trace,
     to_jsonl,
 )
+from repro.obs.export import load_json, load_jsonl, open_artifact
 
 
 def boot_small(seed=3, num_cells=2):
@@ -230,3 +231,25 @@ class TestExportDeterminism:
             assert {"name", "ph", "pid", "tid"} <= set(ev)
             if ev["ph"] == "X":
                 assert ev["dur"] >= 0
+
+
+class TestGzipArtifacts:
+    def test_jsonl_round_trip_compressed_and_plain(self, tmp_path):
+        rows = [{"type": "event", "time_ns": i, "category": "rpc"}
+                for i in range(5)]
+        for name in ("spans.jsonl", "spans.jsonl.gz"):
+            path = str(tmp_path / name)
+            with open_artifact(path, "w") as fh:
+                for row in rows:
+                    fh.write(json.dumps(row) + "\n")
+            assert load_jsonl(path) == rows
+        # The .gz variant must really be gzip-compressed on disk.
+        raw = (tmp_path / "spans.jsonl.gz").read_bytes()
+        assert raw[:2] == b"\x1f\x8b"
+
+    def test_json_round_trip_compressed(self, tmp_path):
+        payload = {"traceEvents": [{"ph": "X", "ts": 1.0}]}
+        path = str(tmp_path / "trace.json.gz")
+        with open_artifact(path, "w") as fh:
+            json.dump(payload, fh)
+        assert load_json(path) == payload

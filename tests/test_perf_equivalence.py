@@ -143,6 +143,39 @@ class TestWheelVsHeapGolden:
         assert plain["tiers"]["coherence"] == profiled["tiers"]["coherence"]
         assert plain["tiers"]["rpc"] == profiled["tiers"]["rpc"]
 
+    def test_pmake_profile_toggle(self, monkeypatch):
+        """The profiler on a paper workload: ``repro run pmake --cells 2
+        --nodes 2`` must simulate identically with HIVE_PROFILE on and
+        off (the pooled RPC service tasks have to be attributable)."""
+        from repro.cli import _build_platform, build_parser
+        from repro.obs.profile import tier_snapshot
+        from repro.workloads import PmakeWorkload
+
+        def run_pmake():
+            args = build_parser().parse_args(
+                ["run", "pmake", "--cells", "2", "--nodes", "2"])
+            platform = _build_platform(args)
+            result = PmakeWorkload().run(platform)
+            hive = platform.target
+            tiers = tier_snapshot(hive)
+            counters = (result.elapsed_s, result.jobs_completed,
+                        result.jobs_failed, result.outputs_ok,
+                        hive.total_counter("faults.remote"),
+                        hive.sim.now, hive.sim.events_processed,
+                        tiers["coherence"], tiers["rpc"])
+            return counters, tiers["engine"]
+
+        monkeypatch.delenv("HIVE_PROFILE", raising=False)
+        plain, plain_engine = run_pmake()
+        monkeypatch.setenv("HIVE_PROFILE", "1")
+        profiled, engine = run_pmake()
+        assert plain[2] == 0 and plain[3], "pmake did not complete"
+        assert plain == profiled
+        assert plain_engine is None
+        assert engine is not None
+        assert engine["dispatches_total"] == profiled[6]
+        assert "rpc" in engine["subsystem_wall_s"]
+
     def test_rpc_bench_small_wheel_toggle(self):
         from repro.bench.rpcbench import (
             RPC_DETERMINISTIC_KEYS,
