@@ -5,7 +5,10 @@ by another: the data home ``export``s the page (recording the client cell
 in its pfdat and adjusting the firewall) and the client ``import``s it
 (allocating an *extended pfdat* and inserting it into its own pfdat hash
 so later faults hit locally).  ``release`` undoes an import and tells the
-data home, which keeps the page on *its* free list for reuse.
+data home, which keeps the page on *its* free list for reuse.  A cell
+queues its releases per data home and one drainer sends them, as many
+to an RPC as fit in one SIPS line: a process exit that drops hundreds of
+imports would otherwise flood the data home's short SIPS receive queue.
 
 *Physical-level* sharing lets a cell under memory pressure *borrow* page
 frames: the memory home moves the frame to a reserved list and ignores it
@@ -25,6 +28,7 @@ overrides the remote hooks (`fault_page`, `open_remote`, `read_remote`,
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.hardware.errors import BusError
@@ -52,6 +56,10 @@ BULK_PAGES = 16
 LOCAL_RESERVE_FRAMES = 64
 #: frames fetched per borrow RPC.
 BORROW_BATCH = 16
+#: wire bytes of a release RPC's fixed part (client cell, entry count).
+RELEASE_HEADER_BYTES = 16
+#: wire bytes of one release entry: frame number and export generation.
+RELEASE_ENTRY_BYTES = 8
 
 
 class SharingMixin:
@@ -64,6 +72,15 @@ class SharingMixin:
     def _init_sharing(self) -> None:
         #: borrowed free frames ready for allocation
         self._borrowed_free: List[Pfdat] = []
+        #: releases not yet sent, per data home: frame -> export gen.
+        #: A queue exists exactly while its drainer process runs.
+        self._release_queues: Dict[int, Dict[int, int]] = {}
+        #: release entries that fit in one SIPS line beside the header
+        self._release_batch = ((self.machine.params.sips_payload
+                                - RELEASE_HEADER_BYTES)
+                               // RELEASE_ENTRY_BYTES)
+        #: data-home side: the last export generation handed out
+        self._export_gen = 0
         self.metrics.counter("faults.remote")
         self.metrics.counter("faults.local_hit")
         self.rpc.register("ping", self._h_ping)
@@ -87,12 +104,14 @@ class SharingMixin:
     # ------------------------------------------------------------------
 
     def import_page(self, frame: int, data_home: int, logical_id: tuple,
-                    is_writable: bool) -> Pfdat:
+                    is_writable: bool, export_gen: int = 0) -> Pfdat:
         """Bind a remote page into the local page cache (Table 5.1).
 
         Allocates an extended pfdat — or, if ``frame`` is one of our own
         frames loaned out and now coming back as data, reuses the
         preexisting regular pfdat (the Section 5.5 CC-NUMA reimport).
+        ``export_gen`` is the data home's generation for this export (0,
+        which no export has, for a page bound without one).
         """
         existing = self.pfdats.reserved.get(frame)
         if existing is not None:
@@ -103,6 +122,7 @@ class SharingMixin:
                 pf = self.pfdats.alloc_extended(frame)
         if pf.logical_id is None:
             self.pfdats.insert(pf, logical_id)
+        self._note_export_gen(pf, data_home, export_gen)
         pf.imported_from = data_home
         self.sharing_metrics.counter("imports").add()
         prov = self.prov
@@ -118,8 +138,6 @@ class SharingMixin:
         other references remain" (Section 5.2).
         """
         data_home = pf.imported_from
-        frame = pf.frame
-        logical_id = pf.logical_id
         pf.imported_from = None
         self.sharing_metrics.counter("releases").add()
         if pf.extended:
@@ -129,18 +147,51 @@ class SharingMixin:
             self.pfdats.remove(pf)
         if data_home is None or not self.registry.is_live(data_home):
             return
-        self.sim.process(
-            self._notify_release(data_home, frame, logical_id),
-            name=f"c{self.kernel_id}.release")
+        queue = self._release_queues.get(data_home)
+        if queue is None:
+            queue = self._release_queues[data_home] = {}
+            self.sim.process(self._drain_releases(data_home, queue),
+                             name=f"c{self.kernel_id}.release")
+        queue[pf.frame] = pf.import_gen
 
-    def _notify_release(self, data_home: int, frame: int,
-                        logical_id) -> Generator:
+    def _note_export_gen(self, pf: Pfdat, data_home: int,
+                         export_gen: int) -> None:
+        """Record an export reply's generation on the importing pfdat.
+
+        A re-import makes a still-queued release of the frame stale, so
+        it is dropped.  Replies to concurrent faults may arrive out of
+        order; the data home remembers its latest (largest) generation.
+        """
+        if pf.imported_from == data_home:
+            export_gen = max(export_gen, pf.import_gen)
+        pf.import_gen = export_gen
+        queue = self._release_queues.get(data_home)
+        if queue:
+            queue.pop(pf.frame, None)
+
+    def _drain_releases(self, data_home: int,
+                        queue: Dict[int, int]) -> Generator:
+        """Send one data home's queued releases, a SIPS line at a time."""
         try:
-            yield from self.rpc.call(data_home, "release_page",
-                                     {"frame": frame,
-                                      "client": self.kernel_id})
-        except (RpcTimeout, RpcRemoteError):
-            pass  # data home failing is handled by recovery
+            while (queue and self.alive
+                   and self.registry.is_live(data_home)):
+                batch = list(islice(queue.items(), self._release_batch))
+                for frame, _gen in batch:
+                    del queue[frame]
+                try:
+                    yield from self.rpc.call(
+                        data_home, "release_page",
+                        {"client": self.kernel_id, "frames": batch},
+                        arg_bytes=(RELEASE_HEADER_BYTES
+                                   + RELEASE_ENTRY_BYTES * len(batch)))
+                except RpcTimeout:
+                    break  # data home failing: recovery drops its exports
+                except RpcRemoteError:
+                    pass  # a refused batch is dropped; later ones still go
+        finally:
+            # Dropping the queue lets the next release start a drainer.
+            if self._release_queues.get(data_home) is queue:
+                del self._release_queues[data_home]
 
     def release_imported_page(self, pf: Pfdat) -> None:
         """Hook from the base kernel when an import's last mapping drops."""
@@ -163,8 +214,13 @@ class SharingMixin:
 
     def export_page_local(self, pf: Pfdat, client_cell: int,
                           is_writable: bool) -> Generator:
-        """Data-home side of an export (Table 5.1's ``export``)."""
-        pf.exported_to.add(client_cell)
+        """Data-home side of an export (Table 5.1's ``export``).
+
+        Returns the export's generation, which the client's release of
+        the page names.
+        """
+        self._export_gen += 1
+        export_gen = pf.exported_to[client_cell] = self._export_gen
         self.sharing_metrics.counter("exports").add()
         if is_writable:
             self.sharing_metrics.counter("exports_writable").add()
@@ -177,7 +233,7 @@ class SharingMixin:
             # The client can now dirty the page without telling us:
             # pessimistically treat it as dirty (discard correctness).
             pf.dirty = True
-        return None
+        return export_gen
 
     # ------------------------------------------------------------------
     # data-home RPC handlers
@@ -207,9 +263,11 @@ class SharingMixin:
         if pf is None:
             return MUST_QUEUE  # disk I/O needed: queued service
         yield self.sim.timeout(self.costs.fault_home_export_ns)
-        yield from self.export_page_local(pf, src_cell, writable)
+        export_gen = yield from self.export_page_local(pf, src_cell,
+                                                       writable)
         generation = self._generation_of(logical_id)
-        return {"frame": pf.frame, "generation": generation}
+        return {"frame": pf.frame, "generation": generation,
+                "export_gen": export_gen}
 
     def _h_export_page_slow(self, src_cell: int, args: dict) -> Generator:
         """Queued export: fill from disk at the data home, then export."""
@@ -225,8 +283,10 @@ class SharingMixin:
         inode = fs.inode(ino)
         pf = yield from self.get_file_page(fs, inode, logical_id[1])
         yield self.sim.timeout(self.costs.fault_home_export_ns)
-        yield from self.export_page_local(pf, src_cell, writable)
-        return {"frame": pf.frame, "generation": inode.generation}
+        export_gen = yield from self.export_page_local(pf, src_cell,
+                                                       writable)
+        return {"frame": pf.frame, "generation": inode.generation,
+                "export_gen": export_gen}
 
     def _check_logical_id(self, args: dict) -> tuple:
         """Sanity-check an RPC-supplied logical id (bad-message defense)."""
@@ -249,16 +309,29 @@ class SharingMixin:
         return 0
 
     def _h_release_page(self, src_cell: int, args: dict) -> Generator:
-        frame = args.get("frame")
-        if not isinstance(frame, int):
-            raise RpcHandlerError("EINVAL", "bad frame")
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
-        pf = self.pfdats.by_frame(frame)
-        if pf is None:
-            return None
-        pf.exported_to.discard(src_cell)
-        if src_cell in pf.export_writable:
-            yield from self.firewall_mgr.revoke_write(pf, src_cell)
+        """Undo a batch of exports to ``src_cell``: [(frame, gen), ...].
+
+        An entry whose generation is not the client's latest export of
+        the frame is stale (the page was re-exported since) and skipped.
+        """
+        entries = args.get("frames")
+        if (not isinstance(entries, list) or not entries
+                or len(entries) > self._release_batch
+                or not all(isinstance(e, (tuple, list)) and len(e) == 2
+                           and all(isinstance(v, int) and v >= 0
+                                   for v in e)
+                           for e in entries)):
+            raise RpcHandlerError("EINVAL", "bad release batch")
+        # One pfdat hash lookup per entry, charged together.
+        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns
+                               * len(entries))
+        for frame, export_gen in entries:
+            pf = self.pfdats.by_frame(frame)
+            if pf is None or pf.exported_to.get(src_cell) != export_gen:
+                continue
+            del pf.exported_to[src_cell]
+            if src_cell in pf.export_writable:
+                yield from self.firewall_mgr.revoke_write(pf, src_cell)
         # The page data stays cached at the data home ("the data page
         # remains in memory until the page frame is reallocated,
         # providing fast access if the client cell faults to it again").
@@ -282,9 +355,10 @@ class SharingMixin:
             # The frame was reclaimed: restore from swap (or zero).
             pf = yield from self._get_anon_page(logical_id)
         yield self.sim.timeout(self.costs.fault_home_export_ns)
-        yield from self.export_page_local(pf, src_cell,
-                                          bool(args.get("writable")))
-        return {"frame": pf.frame, "generation": 0}
+        export_gen = yield from self.export_page_local(
+            pf, src_cell, bool(args.get("writable")))
+        return {"frame": pf.frame, "generation": 0,
+                "export_gen": export_gen}
 
     def _h_cow_deref(self, src_cell: int, args: dict) -> Generator:
         addr = args.get("addr")
@@ -369,7 +443,7 @@ class SharingMixin:
                                        result["generation"])
         yield self.sim.timeout(self.costs.fault_client_import_ns)
         pf = self.import_page(result["frame"], region.data_home,
-                              logical_id, want_write)
+                              logical_id, want_write, result["export_gen"])
         if want_write:
             pf.export_writable.add(self.kernel_id)  # client-side record
         proc = ctx.process
@@ -442,7 +516,7 @@ class SharingMixin:
                                 f"anonymous page lost: {exc}")
         yield self.sim.timeout(self.costs.fault_client_import_ns)
         src = self.import_page(result["frame"], owner_cell, logical_id,
-                               is_writable=False)
+                               False, result["export_gen"])
         ctx.process.dependencies.add(owner_cell)
         if write:
             # COW break: private local copy recorded at our leaf.
@@ -610,7 +684,7 @@ class SharingMixin:
                                 f"shared page lost: {exc}")
         yield self.sim.timeout(self.costs.fault_client_import_ns)
         pf = self.import_page(result["frame"], data_home, logical_id,
-                              want_write)
+                              want_write, result["export_gen"])
         if want_write:
             pf.export_writable.add(self.kernel_id)
         ctx.process.dependencies.add(data_home)
@@ -833,11 +907,14 @@ class SharingMixin:
                     arg_bytes=200)
             except RpcRemoteError as exc:
                 raise FileError(exc.errno, str(exc))
-            for idx, frame in zip(needed, result["frames"]):
+            for idx, frame, export_gen in zip(needed, result["frames"],
+                                              result["export_gens"]):
                 pf = self.pfdats.lookup((tag, idx))
                 if pf is None:
                     pf = self.import_page(frame, fd.data_home, (tag, idx),
-                                          writable)
+                                          writable, export_gen)
+                elif pf.imported_from is not None:
+                    self._note_export_gen(pf, fd.data_home, export_gen)
                 if writable:
                     pf.export_writable.add(self.kernel_id)
                     # Write grants obtained for fd I/O live until the
@@ -871,6 +948,7 @@ class SharingMixin:
                 and all(isinstance(v, int) and v >= 0 for v in write_range)):
             raise RpcHandlerError("EINVAL", "bad write range")
         frames = []
+        export_gens = []
         for idx in pages:
             if not isinstance(idx, int) or idx < 0:
                 raise RpcHandlerError("EINVAL", f"bad page index {idx!r}")
@@ -881,9 +959,10 @@ class SharingMixin:
                 and (idx + 1) * 4096 <= write_range[1])
             pf = yield from self.get_file_page(fs, inode, idx,
                                                no_fill=no_fill)
-            yield from self.export_page_local(pf, src_cell, writable)
+            export_gens.append(
+                (yield from self.export_page_local(pf, src_cell, writable)))
             frames.append(pf.frame)
-        return {"frames": frames}
+        return {"frames": frames, "export_gens": export_gens}
 
     def _h_file_extend(self, src_cell: int, args: dict) -> Generator:
         fs_id = args.get("fs_id")

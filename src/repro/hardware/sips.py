@@ -55,10 +55,6 @@ class SipsMessage:
     deliver_time: int = 0
     seq: int = 0
 
-    @property
-    def src_node_of(self) -> int:
-        return self.src_cpu  # placeholder; real value set by fabric
-
 
 class SipsFabric:
     """All SIPS send/receive machinery for the machine."""

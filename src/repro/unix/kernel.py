@@ -493,27 +493,28 @@ class LocalKernel:
     def _thread_main(self, thread: Thread, program: Callable) -> Generator:
         ctx = ProcContext(self, thread)
         status = 0
+        error = None
         try:
             yield from ctx._ensure_cpu()
             yield from program(ctx)
-        except ProcessKilled:
-            status = -1
-        except Interrupted:
-            status = -1
+        except (ProcessKilled, Interrupted) as exc:
+            status, error = -1, exc
         except (BadAddressError, StaleGenerationError, FileError,
-                CellFailedError):
+                CellFailedError) as exc:
             # I/O and remote-cell errors the program chose not to handle
             # terminate it with an error status (the paper's semantics:
             # processes using a failed cell's resources see errors).
-            status = 1
+            status, error = 1, exc
         except BusError as exc:
             # A bus error during kernel execution outside a careful
             # section indicates internal corruption (or our own node
             # failing): the cell panics (Section 4.1).
-            status = -1
+            status, error = -1, exc
             self.panic(f"bus error during kernel execution: {exc}")
         finally:
             ctx._yield_cpu()
+            if error is not None and thread.process.exit_error is None:
+                thread.process.exit_error = error
             self._thread_exited(thread, status)
         return status
 

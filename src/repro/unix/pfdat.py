@@ -93,7 +93,7 @@ class Pfdat(KObject):
     __slots__ = (
         "frame", "logical_id", "valid", "dirty", "refcount",
         # logical-level sharing state (Figure 5.3a)
-        "exported_to", "imported_from", "export_writable",
+        "exported_to", "imported_from", "export_writable", "import_gen",
         # physical-level sharing state (Figure 5.3b)
         "loaned_to", "borrowed_from",
         # bookkeeping
@@ -107,11 +107,15 @@ class Pfdat(KObject):
         self.valid = False           # frame holds meaningful data
         self.dirty = False           # modified with respect to backing store
         self.refcount = 0            # mappings + transient kernel references
-        # Logical level: which client cells import this page (data-home
-        # side), or which cell is the data home (client side).
-        self.exported_to: Set[int] = set()
+        # Logical level: which client cells import this page, each with
+        # the export generation of its latest export (data-home side),
+        # or which cell is the data home and the generation this import
+        # holds (client side).  A release names its generation, so a
+        # stale one cannot undo a later export of the same frame.
+        self.exported_to: Dict[int, int] = {}
         self.export_writable: Set[int] = _ExportSet(self)
         self.imported_from: Optional[int] = None
+        self.import_gen = 0
         # Physical level: frame loaned out (memory-home side) or borrowed
         # (data-home side).
         self.loaned_to: Optional[int] = None

@@ -69,6 +69,8 @@ class Process(KObject):
         self.threads: List["Thread"] = []
         self.exited = False
         self.exit_status: Optional[int] = None
+        #: the exception that ended the process, if one did
+        self.exit_error: Optional[BaseException] = None
         self.zombie = False
         self.pending_signals: List[int] = []
         #: spanning-task id if this is a component of one, else None

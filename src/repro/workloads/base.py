@@ -30,6 +30,17 @@ def pattern_bytes(path: str, length: int) -> bytes:
     return (seed * reps)[:length]
 
 
+class WorkloadSetupError(RuntimeError):
+    """A workload's setup program exited with an error status."""
+
+    def __init__(self, workload: str, status: int,
+                 cause: Optional[BaseException]):
+        super().__init__(f"{workload} setup exited with status {status}: "
+                         f"{type(cause).__name__}: {cause}")
+        self.status = status
+        self.cause = cause
+
+
 @dataclass
 class WorkloadResult:
     """Outcome of one workload run."""

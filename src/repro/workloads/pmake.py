@@ -26,7 +26,8 @@ from typing import Dict, Generator, List, Optional
 from repro.hardware.params import NS_PER_MS
 from repro.sim.engine import Event
 from repro.unix.fs import PAGE
-from repro.workloads.base import Platform, WorkloadResult, pattern_bytes
+from repro.workloads.base import (Platform, WorkloadResult,
+                                  WorkloadSetupError, pattern_bytes)
 
 #: compile jobs (source files) and concurrency from Table 7.1
 NUM_FILES = 11
@@ -269,12 +270,16 @@ class PmakeWorkload:
             deadline_ns: int = 600_000_000_000) -> WorkloadResult:
         """Set up, warm the cache, run timed, verify outputs."""
         sim = platform.sim
-        _proc, thread = platform.spawn_init(
+        setup_proc, thread = platform.spawn_init(
             0, self.setup_program(platform), "pmake-setup")
         sim.run_until_event(thread.sim_process,
                             deadline=sim.now + 120_000_000_000)
         if thread.sim_process.is_alive:
             raise TimeoutError("pmake setup did not finish")
+        if setup_proc.exit_status:
+            raise WorkloadSetupError(self.name, setup_proc.exit_status,
+                                     setup_proc.exit_error) \
+                from setup_proc.exit_error
         self.warm_cache(platform)
 
         start = sim.now

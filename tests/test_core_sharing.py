@@ -139,6 +139,84 @@ class TestLogicalSharing:
         # ...and the data home revoked the write grant.
         assert owner.firewall_mgr.remotely_writable_pages() == 0
 
+    def test_exit_releases_in_batches_without_flow_control(self, hive2):
+        """An exit dropping 120 imports sends one release stream, not
+        120 concurrent RPCs into the data home's SIPS request queue."""
+        make_remote_file(hive2, npages=120)
+        client, owner = hive2.cell(0), hive2.cell(1)
+
+        def prog(ctx):
+            region = yield from ctx.map_file("/shared/f", writable=True)
+            for idx in range(120):
+                yield from ctx.touch(region, idx, write=True)
+            assert owner.firewall_mgr.remotely_writable_pages() == 120
+
+        run_program(hive2, 0, prog)
+        hive2.sim.run(until=hive2.sim.now + 50_000_000)
+        assert hive2.machine.sips.flow_control_rejections == 0
+        assert all(cell.rpc.metrics.counter("send_retries").value == 0
+                   for cell in hive2.cells)
+        assert client.sharing_metrics.counter("releases").value == 120
+        assert not any(pf.extended for pf in client.pfdats.all_pfdats())
+        assert not any(0 in pf.exported_to
+                       for pf in owner.pfdats.all_pfdats())
+        assert owner.firewall_mgr.remotely_writable_pages() == 0
+
+    def test_reimport_survives_its_stale_release(self, hive2):
+        """Release writable imports, then re-import the last one while
+        its release still waits behind earlier batches.  The data home
+        must keep the new write grant."""
+        npages = 4 * hive2.cell(0)._release_batch + 1
+        make_remote_file(hive2, npages=npages)
+        client, owner = hive2.cell(0), hive2.cell(1)
+        last = npages - 1
+        out = {}
+
+        def prog(ctx):
+            region = yield from ctx.map_file("/shared/f", writable=True)
+            for idx in range(npages):
+                yield from ctx.touch(region, idx, write=True)
+            for idx in range(npages):
+                pte = ctx.process.aspace.unmap_page(client.kernel_id,
+                                                    region.start_vpn + idx)
+                client._drop_mapping(pte)
+            pte = yield from ctx.touch(region, last, write=True)
+            out["frame"] = pte.frame
+            # Let the release stream drain while the page stays mapped.
+            yield from ctx.compute(20_000_000)
+            out["pending"] = dict(client._release_queues)
+            out["writable"] = owner.firewall_mgr.remotely_writable_pages()
+            pf = owner.pfdats.by_frame(pte.frame)
+            out["grant"] = (0 in pf.exported_to, 0 in pf.export_writable)
+            # The client CPU can really write the frame.
+            client.machine.memory.write_bytes(pte.frame, 0, b"again",
+                                              cpu=ctx.cpu)
+
+        run_program(hive2, 0, prog)
+        assert out["pending"] == {}
+        assert out["writable"] == 1
+        assert out["grant"] == (True, True)
+
+    def test_release_entry_with_stale_generation_is_skipped(self, hive2):
+        make_remote_file(hive2)
+        client, owner = hive2.cell(0), hive2.cell(1)
+        out = {}
+
+        def prog(ctx):
+            region = yield from ctx.map_file("/shared/f", writable=True)
+            pte = yield from ctx.touch(region, 0, write=True)
+            gen = client.pfdats.by_frame(pte.frame).import_gen
+            out["frame"], out["gen"] = pte.frame, gen
+            for entry_gen in (gen - 1, gen):
+                yield from client.rpc.call(
+                    1, "release_page",
+                    {"client": 0, "frames": [[pte.frame, entry_gen]]})
+                out[entry_gen] = owner.firewall_mgr.remotely_writable_pages()
+
+        run_program(hive2, 0, prog)
+        assert out[out["gen"] - 1] == 1   # stale: the grant stays
+        assert out[out["gen"]] == 0       # current: revoked
+
     def test_remote_read_write_syscalls(self, hive2):
         data = make_remote_file(hive2, npages=8)
         out = {}

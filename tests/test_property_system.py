@@ -143,10 +143,12 @@ class TestRpcInputFuzz:
                                 "pages", "offset", "nbytes", "generation",
                                 "pid", "sig", "pgid", "task_id", "name",
                                 "program", "layout", "write_range",
-                                "status"]),
+                                "status", "frames"]),
                st.one_of(st.none(), st.integers(-10, 10**9), st.text(max_size=8),
                          st.booleans(), st.lists(st.integers(-5, 99),
-                                                 max_size=4))))
+                                                 max_size=4),
+                         st.lists(st.lists(st.integers(-5, 99), max_size=3),
+                                  max_size=20))))
     @settings(max_examples=60, deadline=None)
     def test_garbage_rpc_never_kills_the_server(self, op, args):
         from repro.core.rpc import RpcRemoteError

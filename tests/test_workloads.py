@@ -12,7 +12,8 @@ from repro.workloads import (
     PmakeWorkload,
     RaytraceWorkload,
 )
-from repro.workloads.base import pattern_bytes
+from repro.unix.errors import FileError
+from repro.workloads.base import WorkloadSetupError, pattern_bytes
 
 
 def small_pmake():
@@ -95,6 +96,26 @@ class TestPmake:
         kernel.machine.memory.write_bytes(pf.frame, 10, b"CORRUPT")
         errors = platform.verify_file(path, wl.expected_outputs[path])
         assert errors
+
+    def test_failed_setup_raises_with_its_cause(self):
+        """A setup program that dies must fail the run with its own
+        error, not a later ENOENT from the cache warm."""
+        class BrokenSetup(PmakeWorkload):
+            def setup_program(self, platform):
+                def setup(ctx):
+                    yield from ctx.compute(1_000)
+                    raise FileError("EIO", "disk went away")
+                return setup
+
+        wl = BrokenSetup(num_files=3, concurrency=2,
+                         compute_per_job_ns=40 * NS_PER_MS)
+        with pytest.raises(WorkloadSetupError) as info:
+            wl.run(hive_platform(4))
+        assert info.value.status == 1
+        assert isinstance(info.value.cause, FileError)
+        assert info.value.cause.errno == "EIO"
+        assert "status 1" in str(info.value)
+        assert "disk went away" in str(info.value)
 
 
 class TestOcean:
