@@ -282,10 +282,8 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
     if eng:
         lines.append(
             f"- engine dispatches: {eng['dispatches_total']} "
-            f"(same-instant {_pct(eng['nowq_rate'])}, "
-            f"heap {_pct(eng['heap_rate'])}, "
-            f"inline timer {_pct(eng['inline_rate'])}; "
-            f"wheel-routed {eng['wheel_routed']})")
+            f"(heap {_pct(eng['heap_rate'])}, "
+            f"inline timer {_pct(eng['inline_rate'])})")
     else:
         lines.append("- engine dispatches: not profiled "
                      "(set HIVE_PROFILE=1 to attribute engine time)")

@@ -94,12 +94,11 @@ def _client(cell, dst: int, cfg: RpcBenchConfig, counters: dict):
     return None
 
 
-def boot_rpc_system(config: str, seed: int = 1995,
-                    wheel: Optional[bool] = None) -> HiveSystem:
+def boot_rpc_system(config: str, seed: int = 1995) -> HiveSystem:
     """Boot the RPC scenario's machine (module-level, image-bootable)."""
     cfg = RPC_CONFIGS[config]
     params = HardwareParams(num_nodes=cfg.num_nodes)
-    sim = Simulator(crash_on_process_error=False, wheel=wheel)
+    sim = Simulator(crash_on_process_error=False)
     return boot_hive(sim, num_cells=cfg.num_cells,
                      machine_config=MachineConfig(params=params,
                                                   seed=seed))
@@ -107,22 +106,21 @@ def boot_rpc_system(config: str, seed: int = 1995,
 
 def run_rpc_bench(config: str, seed: int = 1995,
                   fast: Optional[bool] = None,
-                  wheel: Optional[bool] = None,
                   system: Optional[HiveSystem] = None,
                   fork_wall_s: Optional[float] = None) -> dict:
     """Run the RPC scenario at one machine size; returns the result row.
 
     ``fast`` overrides the RPC fast path (None keeps the
-    ``HIVE_RPC_FAST`` environment default); ``wheel`` likewise for the
-    engine timer wheel.  The simulated counters are identical either
-    way — only wall clock changes.  ``system`` runs against an
-    already-booted (snapshot-forked) system — ``boot_wall_s`` is then 0
-    and ``fork_wall_s`` records the fork cost the caller measured.
+    ``HIVE_RPC_FAST`` environment default).  The simulated counters
+    are identical either way — only wall clock changes.  ``system``
+    runs against an already-booted (snapshot-forked) system —
+    ``boot_wall_s`` is then 0 and ``fork_wall_s`` records the fork cost
+    the caller measured.
     """
     cfg = RPC_CONFIGS[config]
     if system is None:
         boot_wall0 = time.perf_counter()
-        system = boot_rpc_system(config, seed=seed, wheel=wheel)
+        system = boot_rpc_system(config, seed=seed)
         boot_wall = time.perf_counter() - boot_wall0
     else:
         boot_wall = 0.0
@@ -207,8 +205,8 @@ def run_rpc_bench(config: str, seed: int = 1995,
     return row
 
 
-#: snapshot images for the RPC scenario, one per (config, wheel).
-_RPC_IMAGES: Dict[tuple, SystemImage] = {}
+#: snapshot images for the RPC scenario, one per config.
+_RPC_IMAGES: Dict[str, SystemImage] = {}
 
 
 def _forked_rpc_bench(system: HiveSystem, config: str,
@@ -218,8 +216,7 @@ def _forked_rpc_bench(system: HiveSystem, config: str,
 
 
 def run_rpc_bench_forked(config: str, seed: int = 1995,
-                         fast: Optional[bool] = None,
-                         wheel: Optional[bool] = None) -> dict:
+                         fast: Optional[bool] = None) -> dict:
     """``run_rpc_bench`` against a snapshot fork instead of a fresh boot.
 
     Same byte-identical counters; ``boot_wall_s`` becomes the image's
@@ -228,16 +225,15 @@ def run_rpc_bench_forked(config: str, seed: int = 1995,
     """
     kwargs = dict(seed=seed, fast=fast)
     if not snapshot_enabled():
-        row = run_rpc_bench(config, wheel=wheel, **kwargs)
+        row = run_rpc_bench(config, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
         row["snapshot"] = "boot"
         return row
-    key = (config, wheel)
-    image = _RPC_IMAGES.get(key)
+    image = _RPC_IMAGES.get(config)
     if image is None or image.closed:
-        image = SystemImage(boot_rpc_system, config, 1995, wheel,
+        image = SystemImage(boot_rpc_system, config, 1995,
                             name=f"rpcbench-{config}")
-        _RPC_IMAGES[key] = image
+        _RPC_IMAGES[config] = image
     row = image.run(_forked_rpc_bench, config, kwargs, seed=seed)
     row["boot_wall_s"] = round(image.boot_wall_s, 4)
     row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
@@ -248,7 +244,6 @@ def run_rpc_bench_forked(config: str, seed: int = 1995,
 def run_rpc_suite(configs: Optional[List[str]] = None,
                   seed: int = 1995, repeats: int = 1,
                   fast: Optional[bool] = None,
-                  wheel: Optional[bool] = None,
                   snapshot: bool = False) -> Dict[str, dict]:
     """Run the RPC scenario at the requested sizes, best-of-``repeats``.
 
@@ -263,7 +258,7 @@ def run_rpc_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_rpc_bench_forked if snapshot else run_rpc_bench
-            row = runner(name, seed=seed, fast=fast, wheel=wheel)
+            row = runner(name, seed=seed, fast=fast)
             walls.append(row["wall_s"])
             if best is None:
                 best = row

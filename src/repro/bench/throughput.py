@@ -183,14 +183,13 @@ def _sampler(sim: Simulator, cell, interval_ns: int, stop_ns: int,
     return None
 
 
-def boot_bench_system(config: str, seed: int = 1995,
-                      wheel: Optional[bool] = None) -> HiveSystem:
+def boot_bench_system(config: str, seed: int = 1995) -> HiveSystem:
     """Boot the throughput scenario's machine (module-level so a
     :class:`repro.sim.snapshot.SystemImage` can host it)."""
     cfg = CONFIGS[config]
     params = HardwareParams(num_nodes=cfg.num_nodes,
                             cpus_per_node=cfg.cpus_per_node)
-    sim = Simulator(crash_on_process_error=False, wheel=wheel)
+    sim = Simulator(crash_on_process_error=False)
     return boot_hive(sim, num_cells=cfg.num_cells,
                      machine_config=MachineConfig(params=params,
                                                   seed=seed))
@@ -198,27 +197,23 @@ def boot_bench_system(config: str, seed: int = 1995,
 
 def run_throughput(config: str, seed: int = 1995,
                    batch: Optional[bool] = None,
-                   wheel: Optional[bool] = None,
                    system: Optional[HiveSystem] = None,
                    fork_wall_s: Optional[float] = None) -> dict:
     """Run the fixed scenario at one machine size; returns the result row.
 
     ``batch`` overrides the coherence controller's batched access path
-    (None keeps the ``HIVE_BATCH`` environment default); ``wheel``
-    likewise overrides the engine timer wheel (``HIVE_WHEEL``).  The
-    simulated counters are identical either way — only wall clock
-    changes.
+    (None keeps the ``HIVE_BATCH`` environment default).  The simulated
+    counters are identical either way — only wall clock changes.
 
     ``system`` runs the scenario against an already-booted (snapshot-
     forked) system instead of booting one — its boot cost was paid by
-    the image, so ``boot_wall_s`` is 0 and ``wheel`` is whatever the
-    system was booted with.  ``fork_wall_s`` records the fork cost the
-    caller measured for the row.
+    the image, so ``boot_wall_s`` is 0.  ``fork_wall_s`` records the
+    fork cost the caller measured for the row.
     """
     cfg = CONFIGS[config]
     if system is None:
         boot_wall0 = time.perf_counter()
-        system = boot_bench_system(config, seed=seed, wheel=wheel)
+        system = boot_bench_system(config, seed=seed)
         boot_wall = time.perf_counter() - boot_wall0
     else:
         # Forked / caller-booted: the image paid the boot already.
@@ -306,20 +301,19 @@ def run_throughput(config: str, seed: int = 1995,
     return row
 
 
-#: snapshot images for the throughput scenario, one per (config, wheel).
+#: snapshot images for the throughput scenario, one per config.
 #: Forked runs reseed to the trial seed, so the boot seed never keys the
 #: cache — one image serves every seed of a config.
-_BENCH_IMAGES: Dict[tuple, SystemImage] = {}
+_BENCH_IMAGES: Dict[str, SystemImage] = {}
 
 
-def bench_image(config: str, wheel: Optional[bool] = None) -> SystemImage:
+def bench_image(config: str) -> SystemImage:
     """The (process-local) snapshot image for one throughput config."""
-    key = (config, wheel)
-    image = _BENCH_IMAGES.get(key)
+    image = _BENCH_IMAGES.get(config)
     if image is None or image.closed:
-        image = SystemImage(boot_bench_system, config, 1995, wheel,
+        image = SystemImage(boot_bench_system, config, 1995,
                             name=f"bench-{config}")
-        _BENCH_IMAGES[key] = image
+        _BENCH_IMAGES[config] = image
     return image
 
 
@@ -330,8 +324,7 @@ def _forked_throughput(system: HiveSystem, config: str,
 
 
 def run_throughput_forked(config: str, seed: int = 1995,
-                          batch: Optional[bool] = None,
-                          wheel: Optional[bool] = None) -> dict:
+                          batch: Optional[bool] = None) -> dict:
     """``run_throughput`` against a snapshot fork instead of a fresh boot.
 
     The returned row is byte-identical on every simulated counter (the
@@ -343,11 +336,11 @@ def run_throughput_forked(config: str, seed: int = 1995,
     """
     kwargs = dict(seed=seed, batch=batch)
     if not snapshot_enabled():
-        row = run_throughput(config, wheel=wheel, **kwargs)
+        row = run_throughput(config, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
         row["snapshot"] = "boot"
         return row
-    image = bench_image(config, wheel=wheel)
+    image = bench_image(config)
     row = image.run(_forked_throughput, config, kwargs, seed=seed)
     row["boot_wall_s"] = round(image.boot_wall_s, 4)
     row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
@@ -388,7 +381,6 @@ def compare_snapshot(config: str, seed: int = 1995) -> dict:
 def run_suite(configs: Optional[List[str]] = None,
               seed: int = 1995, repeats: int = 1,
               batch: Optional[bool] = None,
-              wheel: Optional[bool] = None,
               snapshot: bool = False) -> dict:
     """Run the scenario at the requested sizes; returns the bench payload.
 
@@ -411,7 +403,7 @@ def run_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_throughput_forked if snapshot else run_throughput
-            row = runner(name, seed=seed, batch=batch, wheel=wheel)
+            row = runner(name, seed=seed, batch=batch)
             walls.append(row["wall_s"])
             if best is None:
                 best = row

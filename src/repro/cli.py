@@ -684,39 +684,6 @@ def cmd_bench(args) -> int:
                       f"accesses/sec (single process)")
         print(f"deterministic counters batched vs scalar: "
               f"{'MATCH' if counters_match else 'MISMATCH'}")
-    wheel_match = True
-    if args.compare_wheel:
-        print("heap comparison run (timer wheel disabled)...")
-        wall0 = _time.perf_counter()
-        heap = run_suite(names, seed=args.seed, repeats=args.repeats,
-                         wheel=False)
-        heap_wall = _time.perf_counter() - wall0
-        compare = {}
-        for name in names:
-            if name not in payload["results"]:
-                continue
-            wheel_row = payload["results"][name]
-            heap_row = heap["results"][name]
-            mismatches = [key for key in DETERMINISTIC_KEYS
-                          if wheel_row[key] != heap_row[key]]
-            if mismatches:
-                wheel_match = False
-                print(f"COUNTER MISMATCH (wheel vs heap) in {name!r}: "
-                      f"{mismatches}", file=sys.stderr)
-            compare[name] = {
-                "wall_s": heap_row["wall_s"],
-                "wall_s_min": heap_row["wall_s_min"],
-                "wall_s_max": heap_row["wall_s_max"],
-                "events_per_sec": heap_row["events_per_sec"],
-                "accesses_per_sec": heap_row["accesses_per_sec"],
-            }
-        payload["wheel_compare"] = {
-            "counters_match": wheel_match,
-            "suite_wall_s": round(heap_wall, 4),
-            "results": compare,
-        }
-        print(f"deterministic counters wheel vs heap: "
-              f"{'MATCH' if wheel_match else 'MISMATCH'}")
     rpc_match = True
     if args.rpc:
         from repro.bench.rpcbench import (
@@ -822,8 +789,8 @@ def cmd_bench(args) -> int:
               f"{session_row['probes_launched']} probes completed")
     write_bench_file(args.out, payload)
     print(f"bench written       : {args.out}")
-    return 1 if (failed or not counters_match or not wheel_match
-                 or not rpc_match or not snapshot_match) else 0
+    return 1 if (failed or not counters_match or not rpc_match
+                 or not snapshot_match) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -972,10 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the suite with the batched "
                               "access path disabled and verify the "
                               "deterministic counters match")
-    p_bench.add_argument("--compare-wheel", action="store_true",
-                         help="also run the suite with the engine timer "
-                              "wheel disabled (HIVE_WHEEL=0 path) and "
-                              "verify the deterministic counters match")
     p_bench.add_argument("--rpc", action="store_true",
                          help="also run the RPC round-trip microbench "
                               "with the fast path on and off and verify "

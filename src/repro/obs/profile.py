@@ -1,26 +1,24 @@
 """Hot-path tier profiling: which fast path served the work, and where
 the wall-clock went.
 
-The PR3-5 optimizations layered escape-hatched fast paths over three
-subsystems — coherence batches (``HIVE_BATCH``: memo replay / inlined
-sequential / vectorized, with the scalar loop as reference), the engine
-queue (``HIVE_WHEEL``: same-instant deque / timer wheel / binary heap,
-plus the Timeout inline-expiry shortcut), and RPC dispatch
-(``HIVE_RPC_FAST``: pooled fast path vs. the original slow path).  This
-module aggregates the per-subsystem attribution counters into one
-JSON-stable snapshot so campaigns and benchmarks can report *tier hit
-rates* — how often each tier actually fired — instead of guessing from
-end-to-end timings.
+Fast paths sit over three subsystems — coherence batches
+(``HIVE_BATCH``: memo replay / inlined sequential / vectorized, with the
+scalar loop as reference), the engine (heap dispatch plus the Timeout
+inline-expiry shortcut), and RPC dispatch (``HIVE_RPC_FAST``: pooled
+fast path vs. the original slow path).  This module aggregates the
+per-subsystem attribution counters into one JSON-stable snapshot so
+campaigns and benchmarks can report *tier hit rates* — how often each
+tier actually fired — instead of guessing from end-to-end timings.
 
 Counter sources:
 
 * coherence tiers are plain always-on ints on the controller (one
   increment per batch — noise-level cost);
 * RPC fast/slow counters live in each cell's RPC ``MetricSet``;
-* engine dispatch tiers and per-subsystem wall attribution come from
+* engine dispatch counts and per-subsystem wall attribution come from
   :class:`~repro.sim.engine.EngineProfile`, populated only when the
   simulator runs with ``HIVE_PROFILE=1`` / ``Simulator(profile=True)``
-  (the profiled loop twins; disabled profiling costs nothing per event).
+  (a branch in the dispatch loop on a local set once per run call).
 
 Everything except ``engine.subsystem_wall_s`` is a deterministic
 function of the simulated event stream, so merged campaign snapshots
@@ -69,26 +67,27 @@ def rpc_tiers(system) -> Dict[str, Any]:
     }
 
 
+def _engine_snapshot(prof: EngineProfile) -> Dict[str, Any]:
+    snap = prof.to_dict()
+    total = snap["heap_dispatches"] + snap["inline_dispatches"]
+    snap["dispatches_total"] = total
+    snap["heap_rate"] = _rate(snap["heap_dispatches"], total)
+    snap["inline_rate"] = _rate(snap["inline_dispatches"], total)
+    return snap
+
+
 def engine_tiers(sim) -> Optional[Dict[str, Any]]:
-    """Dispatch-tier counts from the simulator's profile, with rates.
+    """Dispatch counts from the simulator's profile, with rates.
 
     Returns None when the simulator runs unprofiled (the default): the
-    unprofiled loops do not attribute dispatches, and reporting zeros
-    would be indistinguishable from a run that genuinely dispatched
-    nothing.
+    dispatch loop then does not attribute dispatches, and reporting
+    zeros would be indistinguishable from a run that genuinely
+    dispatched nothing.
     """
     prof = getattr(sim, "profile", None)
     if prof is None:
         return None
-    snap = prof.to_dict()
-    total = (snap["nowq_dispatches"] + snap["heap_dispatches"]
-             + snap["inline_dispatches"])
-    snap["dispatches_total"] = total
-    snap["nowq_rate"] = _rate(snap["nowq_dispatches"], total)
-    snap["heap_rate"] = _rate(snap["heap_dispatches"], total)
-    snap["inline_rate"] = _rate(snap["inline_dispatches"], total)
-    snap["wheel_rate"] = _rate(snap["wheel_routed"], total)
-    return snap
+    return _engine_snapshot(prof)
 
 
 def tier_snapshot(system) -> Dict[str, Any]:
@@ -145,13 +144,5 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     rpc["fast_rate"] = _rate(rpc["fast_path"], calls)
 
     if engine_prof is not None:
-        eng = engine_prof.to_dict()
-        etotal = (eng["nowq_dispatches"] + eng["heap_dispatches"]
-                  + eng["inline_dispatches"])
-        eng["dispatches_total"] = etotal
-        eng["nowq_rate"] = _rate(eng["nowq_dispatches"], etotal)
-        eng["heap_rate"] = _rate(eng["heap_dispatches"], etotal)
-        eng["inline_rate"] = _rate(eng["inline_dispatches"], etotal)
-        eng["wheel_rate"] = _rate(eng["wheel_routed"], etotal)
-        merged["engine"] = eng
+        merged["engine"] = _engine_snapshot(engine_prof)
     return merged

@@ -4,33 +4,20 @@ Time is an integer number of nanoseconds.  The engine is a classic
 event-queue design; coroutine processes are Python generators that yield
 :class:`Event` objects and are resumed when those events trigger.
 
-The queue is a three-tier structure (the PR5 timer wheel):
-
-* a **same-instant batch** (``_nowq``): zero-delay entries — mostly
-  event-trigger callback dispatches — go to a FIFO deque instead of the
-  heap, since they fire at the current instant anyway;
-* a **bucketed timer wheel** for near-future entries (within
-  ``_WHEEL_SLOTS`` slots of ``2**_WHEEL_SHIFT`` ns): an O(1) append at
-  schedule time; a slot is dumped into the binary heap when the clock
-  reaches it, so the heap stays small;
-* the **binary heap** for far-future entries and the current slot.
-
-``HIVE_WHEEL=0`` in the environment (or ``Simulator(wheel=False)``)
-disables the wheel and the now-queue, restoring the classic single-heap
-dispatch loop.  Both modes dispatch in exactly the same order.
-
-Entries are mutable ``[time, seq, fn, args]`` lists so they can be
-*cancelled* in place (:meth:`Simulator.cancel`, :meth:`Timeout.cancel`):
-a cancelled entry has its callback slot cleared and is skipped — without
-counting as a processed event — when it surfaces.  When many cancelled
-entries accumulate in the heap it is compacted in place.
+The queue is one binary heap of mutable ``[time, seq, fn, args]`` lists,
+drained by one dispatch loop (:meth:`Simulator._dispatch`) that serves
+both :meth:`Simulator.run` and :meth:`Simulator.run_until_event`.
+Entries can be *cancelled* in place (:meth:`Simulator.cancel`,
+:meth:`Timeout.cancel`): a cancelled entry has its callback slot cleared
+and is skipped — without counting as a processed event — when it
+surfaces.  When many cancelled entries accumulate the heap is compacted
+in place.
 
 Determinism guarantees
 ----------------------
 * Events scheduled for the same instant fire in the order they were
-  scheduled (dispatch is keyed by ``(time, seq)`` across all tiers).
-* Wheel-on and wheel-off runs dispatch the same events in the same
-  order; ``events_processed`` and every simulated counter agree.
+  scheduled (dispatch is keyed by ``(time, seq)``).
+* The clock never runs backwards: a run bound below ``now`` is an error.
 * Nothing in the engine consults wall-clock time or global randomness.
 """
 
@@ -39,21 +26,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
-
-#: timer-wheel geometry: slots are ``2**_WHEEL_SHIFT`` ns wide and the
-#: wheel covers ``_WHEEL_SLOTS`` slots (~4.2 ms of near future with the
-#: defaults); farther entries fall back to the heap.
-_WHEEL_SHIFT = 16
-_WHEEL_SLOTS = 4096
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-# Entries landing within this many slots of the cursor skip the wheel
-# and go straight to the heap: a near-future timer would be dumped back
-# into the heap by the very next _advance_wheel anyway, so parking it
-# costs a slot append *plus* the heappush.  The wheel earns its keep on
-# timers that sleep long enough to be cancelled or compacted in place.
-_WHEEL_NEAR = 2
 
 #: compact the heap when more than this many cancelled entries exist and
 #: they outnumber the live ones.
@@ -68,19 +41,17 @@ class SimulationError(Exception):
 
 
 class EngineProfile:
-    """Dispatch-tier counts and per-subsystem wall-clock attribution.
+    """Dispatch counts and per-subsystem wall-clock attribution.
 
-    Populated only by the profiled twins of the run loops (HIVE_PROFILE=1
-    or ``Simulator(profile=True)``); a simulator without profiling never
-    touches one, so the unprofiled hot loops pay nothing.
+    Populated only when the simulator profiles (HIVE_PROFILE=1 or
+    ``Simulator(profile=True)``); a simulator without profiling never
+    touches one.
 
-    Tier counts map onto the three-tier queue: ``nowq_dispatches`` and
-    ``heap_dispatches`` count loop pops from the same-instant deque and
-    the binary heap, ``wheel_routed`` counts entries that parked in a
-    wheel slot before being dumped to the heap (a subset of the heap
-    dispatches), and ``inline_dispatches`` counts Timeout expiries that
+    ``heap_dispatches`` counts callbacks the dispatch loop popped off the
+    heap; ``inline_dispatches`` counts Timeout expiries that
     short-circuited the loop entirely (the ``_expire`` fast path, which
-    bumps ``events_processed`` directly).
+    bumps ``events_processed`` directly).  Their sum is
+    ``events_processed``.
 
     Wall attribution buckets the time spent inside each dispatched
     callback by the owning process's subsystem — the first dot-component
@@ -88,13 +59,11 @@ class EngineProfile:
     and ``rpc3.client`` both bucket under ``rpc``.
     """
 
-    __slots__ = ("nowq_dispatches", "heap_dispatches", "wheel_routed",
-                 "inline_dispatches", "subsystem_wall_s", "_cat_cache")
+    __slots__ = ("heap_dispatches", "inline_dispatches", "subsystem_wall_s",
+                 "_cat_cache")
 
     def __init__(self):
-        self.nowq_dispatches = 0
         self.heap_dispatches = 0
-        self.wheel_routed = 0
         self.inline_dispatches = 0
         self.subsystem_wall_s: Dict[str, float] = {}
         self._cat_cache: Dict[str, str] = {}
@@ -107,9 +76,7 @@ class EngineProfile:
         return cat
 
     def merge(self, other: "EngineProfile") -> None:
-        self.nowq_dispatches += other.nowq_dispatches
         self.heap_dispatches += other.heap_dispatches
-        self.wheel_routed += other.wheel_routed
         self.inline_dispatches += other.inline_dispatches
         walls = self.subsystem_wall_s
         for cat, secs in other.subsystem_wall_s.items():
@@ -119,9 +86,7 @@ class EngineProfile:
         """JSON-safe state; wall figures are nondeterministic by nature
         and must stay out of byte-identical report sections."""
         return {
-            "nowq_dispatches": self.nowq_dispatches,
             "heap_dispatches": self.heap_dispatches,
-            "wheel_routed": self.wheel_routed,
             "inline_dispatches": self.inline_dispatches,
             "subsystem_wall_s": {
                 cat: self.subsystem_wall_s[cat]
@@ -131,9 +96,7 @@ class EngineProfile:
     @classmethod
     def from_dict(cls, payload: Dict) -> "EngineProfile":
         prof = cls()
-        prof.nowq_dispatches = payload["nowq_dispatches"]
         prof.heap_dispatches = payload["heap_dispatches"]
-        prof.wheel_routed = payload["wheel_routed"]
         prof.inline_dispatches = payload["inline_dispatches"]
         prof.subsystem_wall_s = dict(payload["subsystem_wall_s"])
         return prof
@@ -209,16 +172,10 @@ class Event:
         now = sim.now
         seq = sim._seq
         args = (self,)
-        if sim._wheel_on:
-            nowq = sim._nowq
-            for cb in callbacks:
-                seq += 1
-                nowq.append([now, seq, cb, args])
-        else:
-            queue = sim._queue
-            for cb in callbacks:
-                seq += 1
-                heapq.heappush(queue, [now, seq, cb, args])
+        queue = sim._queue
+        for cb in callbacks:
+            seq += 1
+            heapq.heappush(queue, [now, seq, cb, args])
         sim._seq = seq
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
@@ -309,31 +266,23 @@ class Timeout(Event):
         callbacks, self._callbacks = self._callbacks, None
         sim = self.sim
         now = sim.now
-        if len(callbacks) == 1:
-            queue = sim._queue
-            if not sim._nowq and not (queue and queue[0][0] == now):
-                # Same-instant batch dispatch: with no other entry
-                # pending at this instant, the sole callback is exactly
-                # what the dispatch loop would pop next (anything
-                # already queued for this time carries a lower seq, and
-                # there is nothing).  Calling it here skips the entry
-                # allocation and one loop round trip; the dispatch is
-                # still counted, so `events_processed` is unchanged.
-                sim.events_processed += 1
-                callbacks[0](self)
-                return
+        queue = sim._queue
+        if len(callbacks) == 1 and not (queue and queue[0][0] == now):
+            # Same-instant batch dispatch: with no other entry pending
+            # at this instant, the sole callback is exactly what the
+            # dispatch loop would pop next (anything already queued for
+            # this time carries a lower seq, and there is nothing).
+            # Calling it here skips the entry allocation and one loop
+            # round trip; the dispatch is still counted, so
+            # `events_processed` is unchanged.
+            sim.events_processed += 1
+            callbacks[0](self)
+            return
         seq = sim._seq
         args = self._self_args
-        if sim._wheel_on:
-            nowq = sim._nowq
-            for cb in callbacks:
-                seq += 1
-                nowq.append([now, seq, cb, args])
-        else:
-            queue = sim._queue
-            for cb in callbacks:
-                seq += 1
-                heapq.heappush(queue, [now, seq, cb, args])
+        for cb in callbacks:
+            seq += 1
+            heapq.heappush(queue, [now, seq, cb, args])
         sim._seq = seq
 
 
@@ -554,12 +503,9 @@ class Simulator:
 
     __slots__ = ("now", "_queue", "_seq", "_active_process",
                  "crash_on_process_error", "events_processed",
-                 "trace_names", "_timeout_pool", "_wheel_on", "_nowq",
-                 "_wheel", "_wheel_count", "_wslot", "_wslots", "_dead",
-                 "_prof")
+                 "trace_names", "_timeout_pool", "_dead", "_prof")
 
     def __init__(self, crash_on_process_error: bool = True,
-                 wheel: Optional[bool] = None,
                  profile: Optional[bool] = None):
         self.now: int = 0
         self._queue: list = []
@@ -578,30 +524,11 @@ class Simulator:
         self.trace_names: bool = False
         # Recycled Timeout objects (see Timeout's docstring).
         self._timeout_pool: list = []
-        if wheel is None:
-            wheel = os.environ.get("HIVE_WHEEL", "1") != "0"
-        #: timer wheel + same-instant batching enabled (HIVE_WHEEL escape)
-        self._wheel_on = bool(wheel)
-        # Same-instant FIFO of [time, seq, fn, args] entries for `now`.
-        self._nowq: deque = deque()
-        # Near-future slots; only allocated when the wheel is on.
-        self._wheel: list = ([[] for _ in range(_WHEEL_SLOTS)]
-                             if self._wheel_on else [])
-        self._wheel_count = 0
-        # Absolute slot index up to which the wheel has been drained.
-        self._wslot = 0
-        # Min-heap of occupied *absolute* slot indices (pushed on a
-        # slot's empty->nonempty transition), so the advance cursor
-        # jumps straight to the next occupied slot.
-        self._wslots: list = []
-        # Cancelled entries still sitting in the queue tiers.
+        # Cancelled entries still sitting in the heap.
         self._dead = 0
         if profile is None:
             profile = os.environ.get("HIVE_PROFILE", "0") != "0"
-        #: dispatch profiling (HIVE_PROFILE=1).  When None the normal
-        #: run loops execute untouched; when set, run()/run_until_event()
-        #: divert to profiled twins, so disabled profiling costs one
-        #: attribute test per run call — not per event.
+        #: dispatch profiling (HIVE_PROFILE=1); None when off.
         self._prof: Optional[EngineProfile] = (EngineProfile() if profile
                                                else None)
 
@@ -620,33 +547,16 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._seq = seq = self._seq + 1
-        t = self.now + int(delay)
-        entry = [t, seq, fn, args]
-        if self._wheel_on:
-            if delay == 0:
-                self._nowq.append(entry)
-            else:
-                slot = t >> _WHEEL_SHIFT
-                off = slot - self._wslot
-                if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                    lst = self._wheel[slot & _WHEEL_MASK]
-                    if not lst:
-                        heapq.heappush(self._wslots, slot)
-                    lst.append(entry)
-                    self._wheel_count += 1
-                else:
-                    # near/current slot or beyond the horizon
-                    heapq.heappush(self._queue, entry)
-        else:
-            heapq.heappush(self._queue, entry)
+        entry = [self.now + int(delay), seq, fn, args]
+        heapq.heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: list) -> bool:
         """Revoke an entry returned by :meth:`schedule`.
 
         The entry is cleared in place and skipped when it surfaces; it
-        never counts as a processed event, in either wheel mode.  Returns
-        False if the entry already fired or was already cancelled.
+        never counts as a processed event.  Returns False if the entry
+        already fired or was already cancelled.
         """
         if entry[2] is None:
             return False
@@ -655,168 +565,20 @@ class Simulator:
         self._dead += 1
         queue = self._queue
         if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(queue):
-            # In-place compaction (run loops alias self._queue).
+            # In-place compaction (the dispatch loop aliases self._queue).
             queue[:] = [e for e in queue if e[2] is not None]
             heapq.heapify(queue)
             self._dead = 0
         return True
 
-    # -- wheel bookkeeping --------------------------------------------
-
-    def _advance_wheel(self) -> None:
-        """Dump occupied wheel slots into the heap until the earliest
-        timed entry is at the heap head (or the wheel is empty).
-
-        ``_wslots`` (a min-heap of occupied slot indices) lets the
-        cursor jump straight to the next occupied slot; empty slots are
-        never visited.
-        """
-        queue = self._queue
-        wslots = self._wslots
-        wheel = self._wheel
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        while wslots:
-            s = wslots[0]
-            if queue and (queue[0][0] >> _WHEEL_SHIFT) < s:
-                # The heap head fires before any wheel entry.
-                break
-            heappop(wslots)
-            lst = wheel[s & _WHEEL_MASK]
-            self._wheel_count -= len(lst)
-            for e in lst:
-                heappush(queue, e)
-            lst.clear()
-            if s > self._wslot:
-                self._wslot = s
-
-    def _ff_wslot(self, t: int) -> None:
-        """Fast-forward the slot cursor to ``t`` (clock jumped to a
-        deadline), dumping any slots passed over into the heap."""
-        target = t >> _WHEEL_SHIFT
-        if target <= self._wslot:
-            return
-        wslots = self._wslots
-        if wslots:
-            queue = self._queue
-            wheel = self._wheel
-            while wslots and wslots[0] <= target:
-                s = heapq.heappop(wslots)
-                lst = wheel[s & _WHEEL_MASK]
-                self._wheel_count -= len(lst)
-                for e in lst:
-                    heapq.heappush(queue, e)
-                lst.clear()
-        self._wslot = target
-
     # -- dispatch -----------------------------------------------------
 
     def run(self, until: Optional[int] = None, max_events: int = 200_000_000) -> None:
         """Process events until the queue drains or ``until`` is reached."""
-        if self._prof is not None:
-            return self._run_prof(until, max_events)
-        if not self._wheel_on:
-            return self._run_heap(until, max_events)
-        processed = 0
-        queue = self._queue
-        nowq = self._nowq
-        heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        while True:
-            if nowq:
-                # Same-instant batch: interleave with heap entries at the
-                # same instant by seq (an entry scheduled earlier with a
-                # positive delay for this exact time must fire first).
-                e0 = nowq[0]
-                if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                    entry = heappop(queue)
-                else:
-                    entry = popleft()
-                fn = entry[2]
-                if fn is None:
-                    continue
-                fn(*entry[3])
-                processed += 1
-                if processed > max_events:
-                    self.events_processed += processed
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-                continue
-            if self._wheel_count:
-                self._advance_wheel()
-            if not queue:
-                break
-            # Pop first, push back on overshoot: the push-back happens
-            # at most once per run() call, while peek-then-pop paid an
-            # extra queue[0] index on every event.
-            entry = heappop(queue)
-            t = entry[0]
-            if until is not None and t > until:
-                heapq.heappush(queue, entry)
-                self.now = until
-                self._ff_wslot(until)
-                self.events_processed += processed
-                return
-            fn = entry[2]
-            if fn is None:
-                continue
-            ts = t >> _WHEEL_SHIFT
-            if ts > self._wslot:
-                # Safe: _advance_wheel ran just above, so either the
-                # wheel is empty or the head was within the drained span.
-                self._wslot = ts
-            self.now = now = t
-            fn(*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
+        # The stop event is private to this call, so it never triggers.
+        self._dispatch(Event(self), until, max_events)
         if until is not None:
             self.now = until
-            self._ff_wslot(until)
-
-    def _run_heap(self, until: Optional[int], max_events: int) -> None:
-        """Classic single-heap dispatch (HIVE_WHEEL=0 path)."""
-        processed = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        if until is None:
-            while queue:
-                entry = heappop(queue)
-                if entry[2] is None:
-                    continue
-                self.now = entry[0]
-                entry[2](*entry[3])
-                processed += 1
-                if processed > max_events:
-                    self.events_processed += processed
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-            self.events_processed += processed
-            return
-        while queue:
-            # Pop first, push back on overshoot: the push-back happens at
-            # most once per run() call, while the peek-then-pop form paid
-            # an extra queue[0] index on every event.
-            entry = heappop(queue)
-            if entry[2] is None:
-                continue
-            t = entry[0]
-            if t > until:
-                heapq.heappush(queue, entry)
-                self.now = until
-                self.events_processed += processed
-                return
-            self.now = t
-            entry[2](*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
-        self.now = until
 
     def run_until_event(self, event: "Event",
                         deadline: Optional[int] = None,
@@ -827,84 +589,62 @@ class Simulator:
         which matters when perpetual background processes (clock ticks,
         monitors) would otherwise keep the queue busy to the deadline.
         """
-        if self._prof is not None:
-            return self._run_until_event_prof(event, deadline, max_events)
-        if not self._wheel_on:
-            return self._run_until_event_heap(event, deadline, max_events)
+        self._dispatch(event, deadline, max_events)
+        return event._triggered
+
+    def _dispatch(self, stop_event: "Event", limit: Optional[int],
+                  max_events: int) -> None:
+        """The dispatch loop: pop entries in ``(time, seq)`` order until
+        ``stop_event`` triggers, the heap drains, or the next entry lies
+        past ``limit`` (the clock then stops at ``limit``)."""
+        if limit is not None and limit < self.now:
+            raise SimulationError(
+                f"run bound {limit} is before the current time {self.now}")
+        prof = self._prof
+        if prof is not None:
+            perf = time.perf_counter
+            walls = prof.subsystem_wall_s
+            category = self._prof_category
+            ep_start = self.events_processed
         processed = 0
         queue = self._queue
-        nowq = self._nowq
         heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        while not event._triggered:
-            if nowq:
-                e0 = nowq[0]
-                if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                    entry = heappop(queue)
-                else:
-                    entry = popleft()
+        try:
+            while queue and not stop_event._triggered:
+                # Pop first, push back on overshoot: the push-back happens
+                # at most once per call, while peek-then-pop paid an extra
+                # queue[0] index on every event.
+                entry = heappop(queue)
                 fn = entry[2]
                 if fn is None:
                     continue
-                fn(*entry[3])
+                t = entry[0]
+                if limit is not None and t > limit:
+                    heapq.heappush(queue, entry)
+                    self.now = limit
+                    break
+                # A fired entry is spent: cancel() must refuse it.
+                entry[2] = None
+                self.now = t
+                if prof is None:
+                    fn(*entry[3])
+                else:
+                    cat = category(fn)
+                    t0 = perf()
+                    fn(*entry[3])
+                    walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
                 processed += 1
                 if processed > max_events:
-                    self.events_processed += processed
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
-                continue
-            if self._wheel_count:
-                self._advance_wheel()
-            if not queue:
-                break
-            entry = heappop(queue)
-            t = entry[0]
-            if deadline is not None and t > deadline:
-                heapq.heappush(queue, entry)
-                self.now = deadline
-                self._ff_wslot(deadline)
-                break
-            fn = entry[2]
-            if fn is None:
-                continue
-            ts = t >> _WHEEL_SHIFT
-            if ts > self._wslot:
-                self._wslot = ts
-            self.now = now = t
-            fn(*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
-        return event._triggered
-
-    def _run_until_event_heap(self, event: "Event",
-                              deadline: Optional[int],
-                              max_events: int) -> bool:
-        processed = 0
-        queue = self._queue
-        while queue and not event._triggered:
-            entry = queue[0]
-            if entry[2] is None:
-                heapq.heappop(queue)
-                continue
-            t = entry[0]
-            if deadline is not None and t > deadline:
-                self.now = deadline
-                break
-            heapq.heappop(queue)
-            self.now = t
-            entry[2](*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
-        return event._triggered
-
-    # -- profiled dispatch (HIVE_PROFILE=1) ---------------------------
+        finally:
+            if prof is not None:
+                prof.heap_dispatches += processed
+                # Inside the loop only Timeout._expire's inline fast path
+                # touches events_processed; the delta is exactly the
+                # inline dispatch count.
+                prof.inline_dispatches += self.events_processed - ep_start
+            self.events_processed += processed
 
     def _prof_category(self, fn: Callable) -> str:
         """Subsystem bucket for a dispatched callback, resolved BEFORE
@@ -922,162 +662,6 @@ class Simulator:
             if name:
                 return self._prof.category(name)
         return "engine"
-
-    def _run_prof(self, until: Optional[int], max_events: int) -> None:
-        """Profiled twin of :meth:`run`.
-
-        With the wheel off, the nowq and wheel tiers are simply never
-        occupied and this loop degenerates to heap-only dispatch in the
-        same order as :meth:`_run_heap`, so one twin serves both modes.
-        Kept separate from the unprofiled loops so they pay nothing for
-        the instrumentation (a per-event guard would cost ~2% alone).
-        """
-        prof = self._prof
-        perf = time.perf_counter
-        walls = prof.subsystem_wall_s
-        category = self._prof_category
-        processed = 0
-        ep_start = self.events_processed
-        queue = self._queue
-        nowq = self._nowq
-        heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        try:
-            while True:
-                if nowq:
-                    e0 = nowq[0]
-                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                        entry = heappop(queue)
-                    else:
-                        entry = popleft()
-                    fn = entry[2]
-                    if fn is None:
-                        continue
-                    cat = category(fn)
-                    t0 = perf()
-                    fn(*entry[3])
-                    walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                    prof.nowq_dispatches += 1
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            "event budget exhausted; likely livelock")
-                    continue
-                if self._wheel_count:
-                    before = self._wheel_count
-                    self._advance_wheel()
-                    prof.wheel_routed += before - self._wheel_count
-                if not queue:
-                    break
-                entry = heappop(queue)
-                t = entry[0]
-                if until is not None and t > until:
-                    heapq.heappush(queue, entry)
-                    self.now = until
-                    before = self._wheel_count
-                    self._ff_wslot(until)
-                    prof.wheel_routed += before - self._wheel_count
-                    return
-                fn = entry[2]
-                if fn is None:
-                    continue
-                ts = t >> _WHEEL_SHIFT
-                if ts > self._wslot:
-                    self._wslot = ts
-                self.now = now = t
-                cat = category(fn)
-                t0 = perf()
-                fn(*entry[3])
-                walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                prof.heap_dispatches += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-            if until is not None:
-                self.now = until
-                before = self._wheel_count
-                self._ff_wslot(until)
-                prof.wheel_routed += before - self._wheel_count
-        finally:
-            # During the loop only Timeout._expire's inline fast path
-            # touched events_processed; the delta is exactly the inline
-            # dispatch count.
-            prof.inline_dispatches += self.events_processed - ep_start
-            self.events_processed += processed
-
-    def _run_until_event_prof(self, event: "Event",
-                              deadline: Optional[int],
-                              max_events: int) -> bool:
-        """Profiled twin of :meth:`run_until_event` (both wheel modes)."""
-        prof = self._prof
-        perf = time.perf_counter
-        walls = prof.subsystem_wall_s
-        category = self._prof_category
-        processed = 0
-        ep_start = self.events_processed
-        queue = self._queue
-        nowq = self._nowq
-        heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        try:
-            while not event._triggered:
-                if nowq:
-                    e0 = nowq[0]
-                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                        entry = heappop(queue)
-                    else:
-                        entry = popleft()
-                    fn = entry[2]
-                    if fn is None:
-                        continue
-                    cat = category(fn)
-                    t0 = perf()
-                    fn(*entry[3])
-                    walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                    prof.nowq_dispatches += 1
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            "event budget exhausted; likely livelock")
-                    continue
-                if self._wheel_count:
-                    before = self._wheel_count
-                    self._advance_wheel()
-                    prof.wheel_routed += before - self._wheel_count
-                if not queue:
-                    break
-                entry = heappop(queue)
-                t = entry[0]
-                if deadline is not None and t > deadline:
-                    heapq.heappush(queue, entry)
-                    self.now = deadline
-                    before = self._wheel_count
-                    self._ff_wslot(deadline)
-                    prof.wheel_routed += before - self._wheel_count
-                    break
-                fn = entry[2]
-                if fn is None:
-                    continue
-                ts = t >> _WHEEL_SHIFT
-                if ts > self._wslot:
-                    self._wslot = ts
-                self.now = now = t
-                cat = category(fn)
-                t0 = perf()
-                fn(*entry[3])
-                walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                prof.heap_dispatches += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-        finally:
-            prof.inline_dispatches += self.events_processed - ep_start
-            self.events_processed += processed
-        return event._triggered
 
     def run_until_complete(self, proc: "Process", deadline: Optional[int] = None) -> Any:
         """Run until ``proc`` finishes, returning its value (raising on failure)."""
@@ -1115,25 +699,10 @@ class Simulator:
         # successfully-expired timeouts are ever pooled, and .value
         # raises until the timeout triggers.)
         self._seq = seq = self._seq + 1
-        tt = self.now + delay
-        entry = [tt, seq, t._expire_cb, _NONE_ARGS if value is None else (value,)]
+        entry = [self.now + delay, seq, t._expire_cb,
+                 _NONE_ARGS if value is None else (value,)]
         t._entry = entry
-        if self._wheel_on:
-            if delay == 0:
-                self._nowq.append(entry)
-            else:
-                slot = tt >> _WHEEL_SHIFT
-                off = slot - self._wslot
-                if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                    lst = self._wheel[slot & _WHEEL_MASK]
-                    if not lst:
-                        heapq.heappush(self._wslots, slot)
-                    lst.append(entry)
-                    self._wheel_count += 1
-                else:
-                    heapq.heappush(self._queue, entry)
-        else:
-            heapq.heappush(self._queue, entry)
+        heapq.heappush(self._queue, entry)
         return t
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:

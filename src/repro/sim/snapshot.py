@@ -11,14 +11,14 @@ image boots the system inside a dedicated *holder* process (forked before
 boot, so closures and un-picklable coroutines never cross a process
 boundary), freezes the heap into shared pages, and then forks a fresh
 child per run.  The child inherits the booted system byte-for-byte —
-engine queues, timer wheel, per-cell kernel structures, pfdat/firewall/
+the engine queue, per-cell kernel structures, pfdat/firewall/
 coherence directories, RNG streams — and only pages it dirties are
 copied.  Run requests and results travel over pipes as length-prefixed
 pickle frames; the run function must therefore be module-level
 (picklable by reference), which is the same contract the campaign's
 multiprocessing workers already obey.
 
-Determinism contract (same as ``HIVE_BATCH``/``HIVE_WHEEL``):
+Determinism contract (same as ``HIVE_BATCH``):
 fork-then-run must produce byte-identical counters to
 fresh-boot-then-run.  Boot consumes no RNG draws and
 :func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
@@ -63,7 +63,7 @@ def fork_supported() -> bool:
 def snapshot_enabled(default: bool = True) -> bool:
     """Snapshot-fork gate: ``HIVE_SNAPSHOT=0`` or no ``os.fork`` disables.
 
-    Mirrors the other engine escapes (``HIVE_BATCH``, ``HIVE_WHEEL``):
+    Mirrors the other engine escapes (``HIVE_BATCH``, ``HIVE_RPC_FAST``):
     the feature is on by default and the environment variable is the
     kill switch.
     """

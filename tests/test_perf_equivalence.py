@@ -8,7 +8,10 @@ recovery-heavy of Table 7.4: kernel data corruption, wild writes,
 preemptive discard) twice and compares everything observable.
 """
 
-from repro.bench.faultexp import SW_COW_TREE, FaultExperimentRunner
+import pytest
+
+from repro.bench.faultexp import (ALL_SCENARIOS, SW_COW_TREE,
+                                  FaultExperimentRunner)
 from repro.obs import attach_flight_recorder, to_jsonl
 
 SEED = 5
@@ -109,25 +112,15 @@ class TestBatchVsScalarGolden:
             assert batched[key] == scalar[key], key
 
 
-class TestWheelVsHeapGolden:
-    """The engine timer wheel must be invisible to the simulation: the
-    wheel and classic-heap dispatch loops process the same events in the
-    same order, so *every* deterministic row key — including the engine
-    event count itself — must match."""
-
-    def test_throughput_small_wheel_toggle(self):
-        from repro.bench.throughput import run_throughput
-
-        wheel = run_throughput("small", seed=11, wheel=True)
-        heap = run_throughput("small", seed=11, wheel=False)
-        assert wheel["recovery_detected"]
-        for key in DETERMINISTIC_ROW_KEYS:
-            assert wheel[key] == heap[key], key
+class TestProfileGolden:
+    """HIVE_PROFILE=1 must be invisible to the simulation: the profiling
+    branch of the dispatch loop only reads the clock around callbacks,
+    so every deterministic counter — including the engine event count —
+    must match an unprofiled run."""
 
     def test_throughput_small_profile_toggle(self, monkeypatch):
-        """HIVE_PROFILE=1 swaps in the profiled dispatch loops; the
-        simulation (and every deterministic tier counter) must be
-        unchanged, and the engine section must appear."""
+        """The simulation (and every deterministic tier counter) is
+        unchanged with HIVE_PROFILE=1, and the engine section appears."""
         from repro.bench.throughput import run_throughput
 
         monkeypatch.delenv("HIVE_PROFILE", raising=False)
@@ -176,17 +169,37 @@ class TestWheelVsHeapGolden:
         assert engine["dispatches_total"] == profiled[6]
         assert "rpc" in engine["subsystem_wall_s"]
 
-    def test_rpc_bench_small_wheel_toggle(self):
-        from repro.bench.rpcbench import (
-            RPC_DETERMINISTIC_KEYS,
-            run_rpc_bench,
-        )
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_table_7_4_trial_profile_toggle(self, monkeypatch, scenario):
+        """One Table 7.4 trial per scenario: the verdict, its reason,
+        the detection latency, the recovery records, the clock and the
+        event count are identical profiled and not, and the profile's
+        dispatches add up to ``events_processed``."""
 
-        wheel = run_rpc_bench("small", seed=11, wheel=True)
-        heap = run_rpc_bench("small", seed=11, wheel=False)
-        assert wheel["round_trips"] > 0
-        for key in RPC_DETERMINISTIC_KEYS:
-            assert wheel[key] == heap[key], key
+        def trial():
+            captured = {}
+            runner = FaultExperimentRunner(
+                on_boot=lambda system: captured.update(system=system))
+            result = runner.run_trial(scenario, seed=0)
+            system = captured["system"]
+            sim = system.sim
+            observed = (result.contained, result.failure_reason,
+                        result.detected, result.last_entry_latency_ns,
+                        tuple(_record_key(r)
+                              for r in system.coordinator.records),
+                        sim.now, sim.events_processed)
+            return observed, sim.profile
+
+        monkeypatch.delenv("HIVE_PROFILE", raising=False)
+        plain, plain_prof = trial()
+        monkeypatch.setenv("HIVE_PROFILE", "1")
+        profiled, prof = trial()
+        assert plain_prof is None and prof is not None
+        assert plain[2], "fault was never detected"
+        assert plain[4], "no recovery round recorded"
+        assert plain == profiled
+        assert (prof.heap_dispatches + prof.inline_dispatches
+                == profiled[-1])
 
 
 class TestRpcFastVsSlowGolden:

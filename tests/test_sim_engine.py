@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import (
     AllOf,
@@ -83,6 +84,39 @@ class TestScheduling:
         ev = sim.event()
         sim.schedule(2000, ev.succeed)
         assert not sim.run_until_event(ev, deadline=100)
+
+    def test_run_until_then_run_resumes(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(10_000_000, seen.append, "late")
+        sim.run(until=5_000_000)
+        assert seen == [] and sim.now == 5_000_000
+        sim.run()
+        assert seen == ["late"] and sim.now == 10_000_000
+
+    def test_far_future_timer_fires(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(500_000_000, seen.append, "far")
+        sim.run()
+        assert seen == ["far"] and sim.now == 500_000_000
+
+    def test_run_bound_before_now_is_rejected(self):
+        """The clock never runs backwards: a ``run`` or
+        ``run_until_event`` bound below ``now`` raises and leaves the
+        clock and the queue alone."""
+        sim = Simulator()
+        sim.run(until=150)
+        with pytest.raises(SimulationError):
+            sim.run(until=50)
+        assert sim.now == 150
+        ev = sim.event()
+        sim.schedule(100, ev.succeed)
+        with pytest.raises(SimulationError):
+            sim.run_until_event(ev, deadline=10)
+        assert sim.now == 150
+        assert sim.run_until_event(ev, deadline=150 + 100)
+        assert sim.now == 250 and sim.events_processed == 1
 
 
 class TestEvents:
@@ -339,6 +373,13 @@ class TestCancellation:
         assert sim.cancel(entry)
         assert not sim.cancel(entry)
 
+    def test_cancel_after_fire_returns_false(self):
+        sim = Simulator()
+        entry = sim.schedule(100, lambda: None)
+        sim.run()
+        assert not sim.cancel(entry)
+        assert sim._dead == 0
+
     def test_timeout_cancel_revokes_expiry(self):
         sim = Simulator()
         t = sim.timeout(500)
@@ -403,127 +444,13 @@ class TestCancellation:
         assert not t.triggered
         assert t._entry is None or t._entry[2] is None
 
-
-def _dispatch_trace(wheel):
-    """A mixed schedule exercising nowq, wheel slots, and heap tiers."""
-    sim = Simulator(wheel=wheel)
-    trace = []
-
-    def note(tag):
-        trace.append((sim.now, tag))
-
-    # zero-delay, same-slot, cross-slot, and beyond-horizon entries
-    delays = [0, 1, 100, 65_535, 65_536, 70_000, 1_000_000,
-              300_000_000, 500_000_000]
-    for i, d in enumerate(delays):
-        sim.schedule(d, note, f"d{i}")
-    # same-instant ties scheduled later must fire after earlier ones
-    sim.schedule(100, note, "tie")
-
-    def proc(tag, gap, n):
-        for _ in range(n):
-            yield sim.timeout(gap)
-            note(tag)
-
-    for i in range(3):
-        sim.process(proc(f"p{i}", 40_000 + i * 13_000, 8))
-    cancelled = sim.schedule(200_000, note, "never")
-    sim.cancel(cancelled)
-    sim.run()
-    return trace, sim.events_processed, sim.now
-
-
-class TestTimerWheel:
-    def test_wheel_and_heap_dispatch_identically(self):
-        assert _dispatch_trace(wheel=True) == _dispatch_trace(wheel=False)
-
-    def test_far_future_timer_beyond_horizon_fires(self):
-        sim = Simulator(wheel=True)
-        seen = []
-        # ~500 ms is far past the wheel horizon -> heap fallback.
-        sim.schedule(500_000_000, seen.append, "far")
-        sim.run()
-        assert seen == ["far"] and sim.now == 500_000_000
-
-    def test_run_until_fast_forwards_wheel_cursor(self):
-        sim = Simulator(wheel=True)
-        seen = []
-        sim.schedule(10_000_000, seen.append, "late")
-        sim.run(until=5_000_000)
-        assert seen == [] and sim.now == 5_000_000
-        sim.run()
-        assert seen == ["late"] and sim.now == 10_000_000
-
-    def test_wheel_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("HIVE_WHEEL", "0")
-        assert not Simulator()._wheel_on
-        monkeypatch.setenv("HIVE_WHEEL", "1")
-        assert Simulator()._wheel_on
-
-    def test_slot_boundary_entries_dispatch_in_order(self):
-        """Entries landing exactly on a slot boundary (t multiple of the
-        slot width) must neither fire early nor be skipped when the
-        cursor reaches their slot."""
-        from repro.sim.engine import _WHEEL_SHIFT
-
-        width = 1 << _WHEEL_SHIFT
-
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            seen = []
-            # exactly on the boundary, one before, one after — across
-            # several consecutive slots
-            for k in range(3, 8):
-                sim.schedule(k * width - 1, seen.append, (k, "pre"))
-                sim.schedule(k * width, seen.append, (k, "on"))
-                sim.schedule(k * width + 1, seen.append, (k, "post"))
-            sim.run()
-            return seen, sim.now, sim.events_processed
-
-        wheel_out = run(True)
-        assert wheel_out == run(False)
-        seen = wheel_out[0]
-        assert seen == sorted(seen, key=lambda x: (x[0],
-                              ("pre", "on", "post").index(x[1])))
-
-    def test_cursor_wrap_at_wheel_slots(self):
-        """Timers more than a full wheel revolution apart reuse the same
-        physical slot; the wrap must not conflate the two epochs."""
-        from repro.sim.engine import _WHEEL_SHIFT, _WHEEL_SLOTS
-
-        width = 1 << _WHEEL_SHIFT
-        horizon = _WHEEL_SLOTS * width
-
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            seen = []
-            slot_t = 100 * width + 7
-            # First epoch: inside the horizon -> lives on the wheel.
-            sim.schedule(slot_t, seen.append, "epoch0")
-
-            def reschedule(_):
-                # Scheduled from t=slot_t: one full revolution later,
-                # same slot index modulo _WHEEL_SLOTS.
-                sim.schedule(horizon, seen.append, "epoch1")
-
-            sim.schedule(slot_t, reschedule, None)
-            # A sentinel between the epochs proves epoch1 did not fire
-            # with epoch0's slot flush.
-            sim.schedule(slot_t + horizon // 2, seen.append, "mid")
-            sim.run()
-            return seen, sim.now, sim.events_processed
-
-        wheel_out = run(True)
-        assert wheel_out == run(False)
-        assert wheel_out[0] == ["epoch0", "mid", "epoch1"]
-
     def test_heap_compaction_at_exact_threshold(self):
         """Crossing ``_COMPACT_MIN_DEAD`` cancelled entries (while dead
         entries outnumber half the heap) compacts the queue in place —
         and the survivors still dispatch correctly."""
         from repro.sim.engine import _COMPACT_MIN_DEAD
 
-        sim = Simulator(wheel=False)
+        sim = Simulator()
         seen = []
         doomed = [sim.schedule(1_000_000 + i, seen.append, f"dead{i}")
                   for i in range(_COMPACT_MIN_DEAD + 1)]
@@ -547,23 +474,107 @@ class TestTimerWheel:
         assert seen == [f"keep{i}" for i in range(10)]
         assert sim.events_processed == len(keep)
 
-    def test_run_until_event_equivalent_across_modes(self):
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            done = sim.event("done")
 
-            def ticker():
-                for _ in range(50):
-                    yield sim.timeout(30_000)
+# -- reference oracle ----------------------------------------------------
 
-            def finisher():
-                yield sim.timeout(400_000)
-                done.succeed("yes")
+# Few distinct delays, repeated, so that equal times and zero-delay
+# same-instant chains are common.
+_DELAYS = st.sampled_from([0, 0, 1, 5, 5, 17, 100, 1000])
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.none() | _DELAYS),
+    st.tuples(st.just("timer"), _DELAYS),
+    st.tuples(st.just("process"), st.lists(_DELAYS, min_size=1,
+                                           max_size=4)),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("run"), st.integers(0, 300)),
+    st.tuples(st.just("run_until_event"), _DELAYS, st.integers(0, 300)),
+), max_size=40)
 
-            sim.process(ticker())
-            sim.process(finisher())
-            fired = sim.run_until_event(done,
-                                        deadline=sim.now + 10_000_000)
-            return fired, sim.now, sim.events_processed
 
-        assert run(True) == run(False)
+class TestDispatchOracle:
+    """The dispatch loop against a sorted-order oracle: plain callbacks
+    fire in ``(time, seq)`` order at their scheduled time, cancelled
+    entries never fire, run bounds stop the clock where they say, and
+    ``events_processed`` counts exactly the live dispatches — profiled
+    or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS, profile=st.booleans())
+    def test_dispatch_matches_sorted_oracle(self, steps, profile):
+        sim = Simulator(profile=profile)
+        fired = []          # (time, seq) of each plain callback, in order
+        entries = []        # plain entries, scheduled in order
+        cancellable = []    # plain entries and bare timeouts
+        cancelled = set()   # seqs of revoked plain entries
+        timers = []         # (timeout, revoked)
+        expected = 0        # dispatches the engine must count
+
+        def schedule(delay, child):
+            key = {}
+
+            def fire():
+                fired.append((sim.now, key["seq"]))
+                if child is not None:
+                    schedule(child, None)
+
+            entry = sim.schedule(delay, fire)
+            key["seq"] = entry[1]
+            entries.append(entry)
+            cancellable.append(entry)
+
+        def proc(gaps):
+            last = sim.now
+            for gap in gaps:
+                yield sim.timeout(gap)
+                assert sim.now == last + gap
+                last = sim.now
+
+        for step in steps:
+            kind = step[0]
+            if kind == "schedule":
+                schedule(step[1], step[2])
+            elif kind == "timer":
+                timer = sim.timeout(step[1])
+                timers.append(timer)
+                cancellable.append(timer)
+            elif kind == "process":
+                sim.process(proc(step[1]))
+                # first resume, then an expiry and a resume per timeout
+                expected += 1 + 2 * len(step[1])
+            elif kind == "cancel" and cancellable:
+                target = cancellable[step[1] % len(cancellable)]
+                if isinstance(target, Timeout):
+                    target.cancel()
+                elif sim.cancel(target):
+                    cancelled.add(target[1])
+            elif kind == "run":
+                until = sim.now + step[1]
+                sim.run(until=until)
+                assert sim.now == until
+                done = {seq for _t, seq in fired}
+                for entry in entries:
+                    due = entry[0] <= until and entry[1] not in cancelled
+                    assert (entry[1] in done) == due
+            elif kind == "run_until_event":
+                ev = sim.event()
+                at = sim.now + step[1]
+                sim.schedule(step[1], ev.succeed)
+                expected += 1
+                deadline = sim.now + step[2]
+                hit = sim.run_until_event(ev, deadline=deadline)
+                assert hit == (at <= deadline)
+                assert sim.now == (at if hit else deadline)
+            assert all(t <= sim.now for t, _seq in fired)
+        sim.run()
+
+        assert fired == sorted(fired)
+        scheduled_at = {entry[1]: entry[0] for entry in entries}
+        assert all(scheduled_at[seq] == t for t, seq in fired)
+        assert not cancelled & {seq for _t, seq in fired}
+        assert len(fired) == len(entries) - len(cancelled)
+        expected += len(fired) + sum(t.triggered for t in timers)
+        assert sim.events_processed == expected
+        if profile:
+            prof = sim.profile
+            assert (prof.heap_dispatches + prof.inline_dispatches
+                    == sim.events_processed)
